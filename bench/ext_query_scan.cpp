@@ -13,7 +13,7 @@
 //      query shape tried;
 //   5. the parallel scan is bit-identical to the sequential one at
 //      every thread count tried, and scales when the host has cores to
-//      scale onto (graduated by std::thread::hardware_concurrency()).
+//      scale onto (graduated by the measured parallelism, common.hpp).
 //
 // Results land in BENCH_query.json (full scan, pruned scan, parallel
 // sweep) so CI can diff runs.
@@ -226,28 +226,34 @@ int main() {
 
   // Scaling is asserted only as hard as the host can deliver: a 2-core
   // runner cannot prove an 8-thread speedup, and a 1-core host cannot
-  // prove any — there the sweep only proves bit-identity.
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw >= 8) {
-    std::printf("  scaling  : %u hw threads, threads=8 speedup %.2fx "
+  // prove any — there the sweep only proves bit-identity. The tier comes
+  // from the measured parallelism, not from the CPUs the host reports.
+  const double par = bench::measured_parallelism();
+  const unsigned cores = bench::effective_cores(par);
+  json.host("effective_parallelism", par);
+  json.host("hardware_concurrency", std::thread::hardware_concurrency());
+  std::printf("  host     : %u CPUs reported, measured parallelism %.2f\n",
+              std::thread::hardware_concurrency(), par);
+  if (cores >= 8) {
+    std::printf("  scaling  : %u effective cores, threads=8 speedup %.2fx "
                 "(need >= 4x)\n",
-                hw, sweep_ms[1] / sweep_ms[8]);
+                cores, sweep_ms[1] / sweep_ms[8]);
     require(sweep_ms[1] / sweep_ms[8] >= 4.0,
             "threads=8 scan >= 4x faster than threads=1");
-  } else if (hw >= 4) {
-    std::printf("  scaling  : %u hw threads, threads=4 speedup %.2fx "
+  } else if (cores >= 4) {
+    std::printf("  scaling  : %u effective cores, threads=4 speedup %.2fx "
                 "(need >= 2x)\n",
-                hw, sweep_ms[1] / sweep_ms[4]);
+                cores, sweep_ms[1] / sweep_ms[4]);
     require(sweep_ms[1] / sweep_ms[4] >= 2.0,
             "threads=4 scan >= 2x faster than threads=1");
-  } else if (hw >= 2) {
-    std::printf("  scaling  : %u hw threads, threads=2 speedup %.2fx "
+  } else if (cores >= 2) {
+    std::printf("  scaling  : %u effective cores, threads=2 speedup %.2fx "
                 "(need >= 1.3x)\n",
-                hw, sweep_ms[1] / sweep_ms[2]);
+                cores, sweep_ms[1] / sweep_ms[2]);
     require(sweep_ms[1] / sweep_ms[2] >= 1.3,
             "threads=2 scan >= 1.3x faster than threads=1");
   } else {
-    std::printf("  scaling  : SINGLE-CORE HOST — speedup not measurable "
+    std::printf("  scaling  : ONE EFFECTIVE CORE — speedup not measurable "
                 "here, asserting bit-identity only\n");
   }
 

@@ -1,12 +1,14 @@
 // Machine-readable benchmark results (ISSUE 3, satellite). Every entry
 // is {name, iters, ns_per_op, p99_ns}; p99_ns is null when the bench
-// has no per-iteration latency distribution to quote. The file lands in
+// has no per-iteration latency distribution to quote. An optional "host"
+// object records facts about the machine the numbers came from. The file lands in
 // the working directory as BENCH_<name>.json so CI and scripts can diff
 // runs without scraping console tables.
 #pragma once
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace fluxtrace::bench {
@@ -23,6 +25,11 @@ class BenchJson {
     entries_.push_back(Entry{name, iters, ns_per_op, p99_ns});
   }
 
+  /// One numeric fact about the host, written under "host".
+  void host(const std::string& key, double value) {
+    host_.push_back({key, value});
+  }
+
   /// Write the file; false (with a stderr note) on I/O failure.
   bool write() const {
     std::FILE* f = std::fopen(path_.c_str(), "w");
@@ -30,7 +37,16 @@ class BenchJson {
       std::fprintf(stderr, "warning: cannot write %s\n", path_.c_str());
       return false;
     }
-    std::fprintf(f, "{\"benchmarks\":[\n");
+    std::fprintf(f, "{");
+    if (!host_.empty()) {
+      std::fprintf(f, "\"host\":{");
+      for (std::size_t i = 0; i < host_.size(); ++i) {
+        std::fprintf(f, "%s\"%s\":%.3f", i > 0 ? "," : "",
+                     escaped(host_[i].first).c_str(), host_[i].second);
+      }
+      std::fprintf(f, "},\n");
+    }
+    std::fprintf(f, "\"benchmarks\":[\n");
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];
       std::fprintf(f, "  {\"name\":\"%s\",\"iters\":%.0f,\"ns_per_op\":%.3f,",
@@ -67,6 +83,7 @@ class BenchJson {
 
   std::string path_;
   std::vector<Entry> entries_;
+  std::vector<std::pair<std::string, double>> host_;
 };
 
 } // namespace fluxtrace::bench

@@ -18,7 +18,6 @@
 #include "fluxtrace/core/detector.hpp"
 #include "fluxtrace/core/integrator.hpp"
 #include "fluxtrace/core/online.hpp"
-#include "fluxtrace/core/parallel_integrator.hpp"
 #include "fluxtrace/io/trace_reader.hpp"
 #include "fluxtrace/obs/metrics.hpp"
 #include "fluxtrace/obs/span.hpp"
@@ -114,10 +113,7 @@ BENCHMARK(BM_IntegrateSamples)->Arg(1000)->Arg(10000);
 
 // End-to-end analysis pipeline: open + decode + integrate a one-million
 // sample, 8-core FLXT v2 trace through the io::TraceReader facade and
-// core::ParallelIntegrator. Built once; the fixture also asserts, once,
-// that the 4-thread pipeline produces bit-identical TraceData and
-// TraceTable to the sequential one — a benchmark of a wrong answer would
-// be worthless.
+// core::TraceIntegrator. Built once.
 struct EndToEndTrace {
   SymbolTable symtab;
   std::string v2_bytes;
@@ -157,22 +153,6 @@ const EndToEndTrace& end_to_end_trace() {
     io::write_trace_v2(os, d);
     f.v2_bytes = std::move(os).str();
 
-    const io::TraceReader r = io::open_trace_bytes(std::string(f.v2_bytes));
-    const io::TraceData seq = r.read();
-    if (!(r.read_parallel(4) == seq)) {
-      std::fprintf(stderr, "FATAL: parallel v2 decode != sequential decode\n");
-      std::abort();
-    }
-    const core::TraceTable table_seq =
-        core::TraceIntegrator(f.symtab).integrate(seq.markers, seq.samples);
-    const core::TraceTable table_par =
-        core::ParallelIntegrator(f.symtab, {}, 4)
-            .integrate(seq.markers, seq.samples);
-    if (!(table_par == table_seq)) {
-      std::fprintf(stderr,
-                   "FATAL: ParallelIntegrator result != sequential result\n");
-      std::abort();
-    }
     return f;
   }();
   return fx;
@@ -180,14 +160,13 @@ const EndToEndTrace& end_to_end_trace() {
 
 void BM_TraceReadEndToEnd(benchmark::State& state) {
   const EndToEndTrace& fx = end_to_end_trace();
-  const unsigned threads = static_cast<unsigned>(state.range(0));
   obs::Histogram lat;
   for (auto _ : state) {
     const std::uint64_t t0 = obs::steady_now_ns();
     const io::TraceReader reader =
         io::open_trace_bytes(std::string(fx.v2_bytes));
-    const io::TraceData data = reader.read_parallel(threads);
-    core::ParallelIntegrator integ(fx.symtab, {}, threads);
+    const io::TraceData data = reader.read();
+    core::TraceIntegrator integ(fx.symtab);
     benchmark::DoNotOptimize(integ.integrate(data.markers, data.samples));
     lat.observe(obs::steady_now_ns() - t0);
   }
@@ -197,9 +176,6 @@ void BM_TraceReadEndToEnd(benchmark::State& state) {
                           static_cast<std::int64_t>(fx.v2_bytes.size()));
 }
 BENCHMARK(BM_TraceReadEndToEnd)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

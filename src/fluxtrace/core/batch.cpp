@@ -4,7 +4,7 @@
 #include <cassert>
 #include <map>
 
-#include "fluxtrace/core/integrator.hpp"
+#include "fluxtrace/core/attribution.hpp"
 
 namespace fluxtrace::core {
 
@@ -25,7 +25,8 @@ std::vector<BatchItemEstimate> BatchIntegrator::integrate(
     BatchPolicy policy) const {
   // Batch-level windows first.
   std::vector<ItemWindow> windows;
-  for (const ItemWindow& w : TraceIntegrator::windows_from_markers(markers)) {
+  const WindowIndex index(markers);
+  for (const ItemWindow& w : index.windows()) {
     if (batches_.members(w.item) != nullptr) windows.push_back(w);
   }
   std::sort(windows.begin(), windows.end(),
@@ -63,7 +64,7 @@ std::vector<BatchItemEstimate> BatchIntegrator::integrate(
 
     if (policy == BatchPolicy::Pooled) {
       // One bucket set for the whole batch, divided evenly.
-      std::unordered_map<SymbolId, BucketStat> buckets;
+      FuncSpans buckets;
       for (auto it = lo; it != hi; ++it) {
         const auto fn = symtab_.resolve(it->ip);
         if (fn.has_value()) buckets[*fn].add(it->tsc);
@@ -78,12 +79,11 @@ std::vector<BatchItemEstimate> BatchIntegrator::integrate(
             e.fn_elapsed.emplace_back(fn, stat.elapsed() / k);
           }
         }
-        std::sort(e.fn_elapsed.begin(), e.fn_elapsed.end());
         out.push_back(std::move(e));
       }
     } else {
       // SubWindows: member i owns [enter + i*span/k, enter + (i+1)*span/k).
-      std::vector<std::unordered_map<SymbolId, BucketStat>> buckets(k);
+      std::vector<FuncSpans> buckets(k);
       for (auto it = lo; it != hi; ++it) {
         const auto fn = symtab_.resolve(it->ip);
         if (!fn.has_value()) continue;
@@ -104,7 +104,6 @@ std::vector<BatchItemEstimate> BatchIntegrator::integrate(
         for (const auto& [fn, stat] : buckets[i]) {
           if (stat.estimable()) e.fn_elapsed.emplace_back(fn, stat.elapsed());
         }
-        std::sort(e.fn_elapsed.begin(), e.fn_elapsed.end());
         out.push_back(std::move(e));
       }
     }

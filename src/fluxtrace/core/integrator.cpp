@@ -1,9 +1,5 @@
 #include "fluxtrace/core/integrator.hpp"
 
-#include <algorithm>
-#include <map>
-#include <set>
-
 #include "fluxtrace/obs/metrics.hpp"
 #include "fluxtrace/obs/span.hpp"
 
@@ -11,9 +7,7 @@ namespace fluxtrace::core {
 
 namespace {
 
-// Self-telemetry (ISSUE 3). ParallelIntegrator runs one TraceIntegrator
-// pass per shard, so counting here (and only here) makes shard sums equal
-// the totals — no double counting at the parallel layer.
+// Self-telemetry.
 struct IntegratorMetrics {
   obs::Counter& items = obs::metrics().counter("core.integrate.items");
   obs::Counter& degraded =
@@ -25,237 +19,31 @@ struct IntegratorMetrics {
   }
 };
 
-std::map<std::uint32_t, std::vector<Marker>> markers_by_core(
-    std::span<const Marker> markers) {
-  std::map<std::uint32_t, std::vector<Marker>> per_core;
-  for (const Marker& m : markers) per_core[m.core].push_back(m);
-  for (auto& [core, ms] : per_core) {
-    std::stable_sort(ms.begin(), ms.end(),
-                     [](const Marker& a, const Marker& b) {
-                       return a.tsc < b.tsc;
-                     });
-  }
-  return per_core;
-}
-
 } // namespace
-
-std::vector<ItemWindow> TraceIntegrator::windows_from_markers(
-    std::span<const Marker> markers) {
-  std::vector<ItemWindow> out;
-  for (auto& [core, ms] : markers_by_core(markers)) {
-    // Pair Enter → Leave by item id. In the self-switching architecture
-    // exactly one item is on a core at a time, so windows come out
-    // disjoint; under preemption (timer-switching) an item's window spans
-    // its whole lifetime and windows overlap — which is exactly the
-    // failure mode §V-A's register-carried ids fix. Leaves without a
-    // matching Enter and Enters never closed are dropped.
-    std::map<ItemId, Tsc> open;
-    for (const Marker& m : ms) {
-      if (m.kind == MarkerKind::Enter) {
-        open[m.item] = m.tsc;
-      } else {
-        auto oit = open.find(m.item);
-        if (oit != open.end()) {
-          out.push_back(ItemWindow{m.item, core, oit->second, m.tsc});
-          open.erase(oit);
-        }
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<ItemWindow> TraceIntegrator::windows_from_markers_degraded(
-    std::span<const Marker> markers,
-    const std::map<std::uint32_t, Tsc>& watermarks) {
-  std::vector<ItemWindow> out;
-  for (auto& [core, ms] : markers_by_core(markers)) {
-    // Self-switching: one item per core at a time, so a surviving edge
-    // bounds its lost partner. A lost Leave is proven passed by the next
-    // Enter on the core (the item was gone before the next one started);
-    // a lost Enter can have happened no earlier than the previous edge.
-    // Both bounds over-cover slightly — degraded, and tagged as such —
-    // which beats dropping the item entirely.
-    struct Open {
-      ItemId item = kNoItem;
-      Tsc enter = 0;
-      std::uint8_t synth = 0;
-    };
-    Open open;
-    bool has_open = false;
-    Tsc prev_edge = 0;
-    for (const Marker& m : ms) {
-      if (m.kind == MarkerKind::Enter) {
-        if (has_open) {
-          // The open item's Leave was lost; close it at this Enter.
-          out.push_back(ItemWindow{open.item, core, open.enter, m.tsc,
-                                   static_cast<std::uint8_t>(
-                                       open.synth | ItemWindow::kSynthLeave)});
-        }
-        open = Open{m.item, m.tsc, 0};
-        has_open = true;
-      } else if (has_open && open.item == m.item) {
-        out.push_back(ItemWindow{m.item, core, open.enter, m.tsc, open.synth});
-        has_open = false;
-      } else if (has_open) {
-        // Two losses at once (open item's Leave and this item's Enter):
-        // both items get the joint span, honestly tagged on both edges.
-        out.push_back(ItemWindow{open.item, core, open.enter, m.tsc,
-                                 static_cast<std::uint8_t>(
-                                     open.synth | ItemWindow::kSynthLeave)});
-        out.push_back(
-            ItemWindow{m.item, core, open.enter, m.tsc, static_cast<std::uint8_t>(
-                           ItemWindow::kSynthEnter)});
-        has_open = false;
-      } else {
-        // Leave whose Enter was lost: it started after the previous edge.
-        out.push_back(ItemWindow{m.item, core, prev_edge, m.tsc,
-                                 ItemWindow::kSynthEnter});
-      }
-      prev_edge = m.tsc;
-    }
-    if (has_open) {
-      // Open at stream end: no sample after the per-core watermark can
-      // belong to it, so the watermark closes it.
-      auto wit = watermarks.find(core);
-      const Tsc wm =
-          wit != watermarks.end() ? std::max(wit->second, open.enter)
-                                  : open.enter;
-      out.push_back(ItemWindow{open.item, core, open.enter, wm,
-                               static_cast<std::uint8_t>(
-                                   open.synth | ItemWindow::kSynthLeave)});
-    }
-  }
-  return out;
-}
-
-TraceTable TraceIntegrator::integrate(
-    std::span<const Marker> markers,
-    std::span<const PebsSample> samples) const {
-  return integrate(markers, samples, {});
-}
 
 TraceTable TraceIntegrator::integrate(std::span<const Marker> markers,
                                       std::span<const PebsSample> samples,
                                       std::span<const SampleLoss> losses) const {
   OBS_SPAN("core.integrate");
-  TraceTable table;
-
-  // Per-core windows sorted by enter time, plus a prefix-max of leave
-  // times so the backward walk below can stop as soon as no earlier
-  // window can still cover the sample (O(1) for disjoint windows).
-  struct CoreWindows {
-    std::vector<ItemWindow> ws;
-    std::vector<Tsc> prefix_max_leave;
-  };
-  std::map<std::uint32_t, CoreWindows> win_by_core;
-  std::set<ItemId> window_items;
-
-  std::vector<ItemWindow> windows;
-  if (cfg_.degraded) {
-    std::map<std::uint32_t, Tsc> watermarks;
-    for (const PebsSample& s : samples) {
-      Tsc& wm = watermarks[s.core];
-      wm = std::max(wm, s.tsc);
-    }
-    for (const SampleLoss& l : losses) {
-      Tsc& wm = watermarks[l.core];
-      wm = std::max(wm, l.tsc);
-    }
-    windows = windows_from_markers_degraded(markers, watermarks);
-  } else {
-    windows = windows_from_markers(markers);
-  }
-  for (const ItemWindow& w : windows) {
-    table.add_window(w);
-    win_by_core[w.core].ws.push_back(w);
-    window_items.insert(w.item);
-  }
-  // Items a salvaged register id may name: this call's window items, or
-  // the injected global set when integrating one shard of a parallel run.
-  const std::set<ItemId>& known_items =
-      cfg_.salvage_items != nullptr ? *cfg_.salvage_items : window_items;
-  for (auto& [core, cw] : win_by_core) {
-    std::sort(cw.ws.begin(), cw.ws.end(),
-              [](const ItemWindow& a, const ItemWindow& b) {
-                return a.enter < b.enter;
-              });
-    cw.prefix_max_leave.resize(cw.ws.size());
-    Tsc running = 0;
-    for (std::size_t i = 0; i < cw.ws.size(); ++i) {
-      running = std::max(running, cw.ws[i].leave);
-      cw.prefix_max_leave[i] = running;
-    }
-  }
-
-  // Most recent window with enter <= tsc whose leave has not passed.
-  // With disjoint windows (self-switching) this is one probe; with
-  // overlapping windows the walk finds the innermost cover — a heuristic
-  // that can be wrong, which is the point of the §V-A extension.
-  auto locate = [&win_by_core](std::uint32_t core, Tsc tsc) -> ItemId {
-    auto it = win_by_core.find(core);
-    if (it == win_by_core.end()) return kNoItem;
-    const std::vector<ItemWindow>& ws = it->second.ws;
-    const std::vector<Tsc>& pmax = it->second.prefix_max_leave;
-    auto wit = std::upper_bound(
-        ws.begin(), ws.end(), tsc,
-        [](Tsc t, const ItemWindow& w) { return t < w.enter; });
-    while (wit != ws.begin()) {
-      const std::size_t idx = static_cast<std::size_t>(wit - ws.begin()) - 1;
-      if (pmax[idx] < tsc) break; // nothing earlier can cover tsc
-      --wit;
-      if (tsc <= wit->leave) return wit->item;
-    }
-    return kNoItem;
-  };
-
+  Attributor a(markers, symtab_, cfg_,
+               cfg_.degraded ? Attributor::watermarks(samples, losses)
+                             : std::map<std::uint32_t, Tsc>{});
   for (const PebsSample& s : samples) {
-    // (1) item id — from the marker windows or from the sampled register.
-    ItemId item = kNoItem;
-    bool salvaged = false;
-    if (cfg_.use_register_ids) {
-      item = s.regs.get(cfg_.id_reg);
-    } else {
-      item = locate(s.core, s.tsc);
-      if (item == kNoItem && cfg_.degraded) {
-        // Orphan salvage: the sampled id register names the item
-        // directly; trust it when it matches an item the markers saw
-        // (guards against registers that never held an id).
-        const ItemId reg_item = s.regs.get(cfg_.id_reg);
-        if (reg_item != kNoItem && known_items.count(reg_item) > 0) {
-          item = reg_item;
-          salvaged = true;
-        }
-      }
-    }
-    if (item == kNoItem) {
-      table.count_unmatched_item();
-      continue;
-    }
-    if (salvaged) table.note_sample_salvaged(item);
-
-    // (2) function — from the symbol table.
-    const auto fn = symtab_.resolve(s.ip);
-    if (!fn.has_value()) {
-      table.count_unmatched_symbol();
-      continue;
-    }
-
-    table.add_sample(item, *fn, s.core, s.tsc);
+    a.add(s.core, s.tsc, s.ip, s.regs.get(kItemIdReg));
   }
+  // Loss attribution: a lost sample inside an item's window degrades that
+  // item's confidence instead of leaving it silently under-counted.
+  for (const SampleLoss& l : losses) a.add_loss(l.core, l.tsc);
 
-  // (3) loss attribution: a lost sample whose timestamp lies inside an
-  // item's window degrades that item's confidence — the estimate may
-  // under-cover, and the table says so instead of staying silent.
-  for (const SampleLoss& l : losses) {
-    const ItemId item = locate(l.core, l.tsc);
-    if (item != kNoItem) {
-      table.note_sample_lost(item);
-    } else {
-      table.count_unattributed_loss();
-    }
-  }
+  TraceTable table(a.take_spans());
+  for (const ItemWindow& w : a.windows()) table.add_window(w);
+  const Attributor::Counts& c = a.counts();
+  table.count_unmatched_item(c.unmatched_item);
+  table.count_unmatched_symbol(c.unmatched_symbol);
+  table.count_unattributed_loss(c.unattributed_loss);
+  for (const auto& [item, n] : c.salvaged) table.note_sample_salvaged(item, n);
+  for (const auto& [item, n] : c.lost) table.note_sample_lost(item, n);
+
   IntegratorMetrics::get().items.inc(table.items().size());
   IntegratorMetrics::get().degraded.inc(table.degraded_items().size());
   return table;

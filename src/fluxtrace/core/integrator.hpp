@@ -5,45 +5,21 @@
 // the symbol table to recover the function. The §V-A extension instead
 // reads the data-item id straight out of the sampled R13 register, which
 // survives user-level context switches (timer-switching architecture).
+// The procedure itself lives in the attribution kernel (attribution.hpp;
+// WindowIndex pairs the markers into windows); TraceIntegrator runs it in
+// one batch pass and keeps the result as a TraceTable.
 #pragma once
 
-#include <map>
-#include <set>
 #include <span>
 
 #include "fluxtrace/base/markers.hpp"
 #include "fluxtrace/base/regs.hpp"
 #include "fluxtrace/base/samples.hpp"
 #include "fluxtrace/base/symbols.hpp"
+#include "fluxtrace/core/attribution.hpp"
 #include "fluxtrace/core/trace_table.hpp"
 
 namespace fluxtrace::core {
-
-struct IntegratorConfig {
-  /// false: map samples to items via marker windows (self-switching
-  /// architecture, the paper's main procedure). true: take the item id
-  /// from the sampled register (timer-switching extension, §V-A).
-  bool use_register_ids = false;
-  Reg id_reg = kItemIdReg;
-
-  /// Degraded mode: tolerate a lossy capture pipeline instead of
-  /// silently mis-attributing. Unbalanced markers no longer drop their
-  /// item — the missing edge is synthesized (a lost Leave from the next
-  /// Enter on the core, a lost edge at stream end from the per-core
-  /// sample watermark) and the window is tagged as reconstructed. Orphan
-  /// samples matching no window are salvaged through the id register
-  /// when it names a known item. Every affected item carries loss
-  /// accounting in the table (never silently clean).
-  bool degraded = false;
-
-  /// Degraded-mode orphan salvage trusts a register-carried id only when
-  /// it names an item "the markers saw" — by default, the items of this
-  /// call's own windows. A core-sharded parallel run (ParallelIntegrator)
-  /// injects the *global* item set here so each shard salvages exactly
-  /// like the sequential pass would; the pointee must outlive the
-  /// integrate() call. Leave null for normal use.
-  const std::set<ItemId>* salvage_items = nullptr;
-};
 
 class TraceIntegrator {
  public:
@@ -52,31 +28,14 @@ class TraceIntegrator {
       : symtab_(symtab), cfg_(cfg) {}
 
   /// Build the per-item, per-function table. Markers and samples may be in
-  /// any order; they are grouped by core and sorted internally.
-  [[nodiscard]] TraceTable integrate(std::span<const Marker> markers,
-                                     std::span<const PebsSample> samples) const;
-
-  /// Same, with known capture losses (sim::PebsDriver::losses()):
-  /// each loss is attributed to the item whose window covers its
-  /// timestamp, so affected items report non-zero
-  /// ItemQuality::samples_lost instead of quietly under-counting.
-  [[nodiscard]] TraceTable integrate(std::span<const Marker> markers,
-                                     std::span<const PebsSample> samples,
-                                     std::span<const SampleLoss> losses) const;
-
-  /// Extract per-core item windows from a marker stream. Exposed for
-  /// tests and for window-level analyses. Unbalanced markers (Leave
-  /// without Enter, Enter without Leave at stream end) are dropped.
-  [[nodiscard]] static std::vector<ItemWindow> windows_from_markers(
-      std::span<const Marker> markers);
-
-  /// Degraded-mode variant: unbalanced markers synthesize the missing
-  /// edge instead of dropping the item. `watermarks` holds the per-core
-  /// highest observed sample time, used to close an item still open at
-  /// stream end (nothing later can belong to it).
-  [[nodiscard]] static std::vector<ItemWindow> windows_from_markers_degraded(
-      std::span<const Marker> markers,
-      const std::map<std::uint32_t, Tsc>& watermarks);
+  /// any order; they are grouped by core and sorted internally. Known
+  /// capture losses (sim::PebsDriver::losses()) are each attributed to
+  /// the item whose window covers their timestamp, so affected items
+  /// report non-zero ItemQuality::samples_lost instead of quietly
+  /// under-counting.
+  [[nodiscard]] TraceTable integrate(
+      std::span<const Marker> markers, std::span<const PebsSample> samples,
+      std::span<const SampleLoss> losses = {}) const;
 
  private:
   const SymbolTable& symtab_;

@@ -1,7 +1,7 @@
 #include "fluxtrace/core/online.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <limits>
 
 #include "fluxtrace/obs/metrics.hpp"
 
@@ -28,160 +28,222 @@ struct OnlineMetrics {
   }
 };
 
+/// Insert into a deque kept ascending by tsc (arrivals are near-sorted,
+/// so this is almost always an append).
+template <class T>
+void insert_by_tsc(std::deque<T>& q, const T& x) {
+  auto pos = q.end();
+  while (pos != q.begin() && std::prev(pos)->tsc > x.tsc) --pos;
+  q.insert(pos, x);
+}
+
+/// The first record at or after `t` in a deque kept ascending by tsc.
+template <class Q>
+auto first_at(Q& q, Tsc t) {
+  return std::lower_bound(q.begin(), q.end(), t,
+                          [](const auto& x, Tsc v) { return x.tsc < v; });
+}
+
 } // namespace
 
 OnlineTracer::OnlineTracer(const SymbolTable& symtab, OnlineTracerConfig cfg)
-    : symtab_(symtab), cfg_(cfg), detector_(cfg.detector) {}
+    : symtab_(symtab),
+      cfg_(cfg),
+      detector_(cfg.detector),
+      tracker_(cfg.synthesize_markers) {}
 
 void OnlineTracer::on_marker(const Marker& m) {
   CoreState& cs = cores_[m.core];
-  if (m.kind == MarkerKind::Enter) {
-    // A still-open previous item means its Leave marker was lost (or the
-    // stream is malformed). Degraded mode synthesizes the Leave at this
-    // Enter — the item was gone before the next one started — instead of
-    // silently discarding the item and its samples.
-    if (!cs.items.empty() && !cs.items.back().closed) {
-      if (cfg_.synthesize_markers) {
-        PendingItem& dangling = cs.items.back();
-        dangling.leave = m.tsc;
-        dangling.closed = true;
-        dangling.synth_leave = true;
-        ++synthesized_;
-      } else {
-        cs.items.pop_back();
-        ++dropped_;
-      }
-    }
-    PendingItem item;
-    item.id = m.item;
-    item.core = m.core;
-    item.enter = m.tsc;
-    cs.items.push_back(std::move(item));
-    check_backlog(m.core, cs);
-  } else {
-    if (cs.items.empty() || cs.items.back().closed ||
-        cs.items.back().id != m.item) {
-      ++dropped_; // Leave without a matching Enter
-      return;
-    }
-    cs.items.back().leave = m.tsc;
-    cs.items.back().closed = true;
+  const std::size_t n_closed = cs.closed.size();
+  const std::uint64_t never_left = tracker_.never_left();
+  tracker_.push(m, cs.closed);
+  cs.running_since = m.kind == MarkerKind::Enter ? std::optional<Tsc>(m.tsc)
+                                                 : std::nullopt;
+  if (m.kind == MarkerKind::Enter) check_backlog(m.core, cs);
+  // Samples held for a window that just closed, or that will now never
+  // close, can be placed: re-check those at or after its enter. Under
+  // degraded pairing any marker decides the samples held for a window a
+  // lost Enter might open at the previous edge.
+  Tsc from = tracker_.never_left() != never_left || cfg_.synthesize_markers
+                 ? 0
+                 : std::numeric_limits<Tsc>::max();
+  for (std::size_t i = n_closed; i < cs.closed.size(); ++i) {
+    from = std::min(from, cs.closed[i].w.enter);
   }
+  place_held(cs, from);
+}
+
+bool OnlineTracer::owner(std::uint32_t core, Tsc tsc, Pending** out) {
+  std::uint64_t seq = 0;
+  const WindowTracker::Verdict v = tracker_.owner(core, tsc, &seq);
+  if (v == WindowTracker::Verdict::Undecided) return false;
+  *out = v == WindowTracker::Verdict::Owned ? &cores_[core].pending[seq]
+                                            : nullptr;
+  return true;
+}
+
+bool OnlineTracer::place(const PebsSample& s) {
+  Pending* p = nullptr;
+  if (!owner(s.core, s.tsc, &p)) return false;
+  if (p != nullptr) {
+    p->raw.push_back(s);
+  } else {
+    ++unmatched_; // between windows, or its window already finalized
+  }
+  return true;
+}
+
+bool OnlineTracer::place(const SampleLoss& l) {
+  Pending* p = nullptr;
+  if (!owner(l.core, l.tsc, &p)) return false;
+  if (p != nullptr) {
+    ++p->lost;
+  } else {
+    ++losses_unattributed_; // between windows, or item already finalized
+  }
+  return true;
+}
+
+void OnlineTracer::place_held(CoreState& cs, Tsc from) {
+  const auto replace = [this, from](auto& held) {
+    held.erase(std::remove_if(first_at(held, from), held.end(),
+                              [this](const auto& x) { return place(x); }),
+               held.end());
+  };
+  replace(cs.held);
+  replace(cs.held_losses);
 }
 
 void OnlineTracer::on_sample(const PebsSample& s) {
   ++samples_seen_;
   CoreState& cs = cores_[s.core];
-  cs.sample_watermark = std::max(cs.sample_watermark, s.tsc);
+  cs.end_watermark = std::max(cs.end_watermark, s.tsc);
 
   // The watermark proves older items complete: no further sample at or
   // below their leave can arrive on this core.
-  finalize_ready(cs, s.tsc);
-
-  for (PendingItem& item : cs.items) {
-    if (s.tsc < item.enter) break; // items are in enter order
-    if (!item.closed || s.tsc <= item.leave) {
-      item.raw.push_back(s);
-      return;
-    }
+  finalize_ready(s.core, cs, s.tsc);
+  if (!place(s)) {
+    insert_by_tsc(cs.held, s);
+    check_backlog(s.core, cs);
   }
-  ++unmatched_; // between windows, or before the oldest pending item
 }
 
 void OnlineTracer::on_sample_lost(const SampleLoss& l) {
   ++samples_lost_;
   OnlineMetrics::get().lost.inc();
-  auto cit = cores_.find(l.core);
-  if (cit != cores_.end()) {
-    for (PendingItem& item : cit->second.items) {
-      if (l.tsc < item.enter) break;
-      if (!item.closed || l.tsc <= item.leave) {
-        ++item.lost;
-        return;
-      }
-    }
+  CoreState& cs = cores_[l.core];
+  cs.end_watermark = std::max(cs.end_watermark, l.tsc);
+  if (!place(l)) {
+    insert_by_tsc(cs.held_losses, l);
+    check_backlog(l.core, cs);
   }
-  ++losses_unattributed_; // between windows, or item already finalized
 }
 
 void OnlineTracer::check_backlog(std::uint32_t core, CoreState& cs) {
   if (cfg_.shed_backlog == 0) return;
-  if (cs.items.size() >= cfg_.shed_backlog) {
+  const std::size_t n = backlog(core);
+  if (n >= cfg_.shed_backlog) {
     if (cs.shed_armed) {
       cs.shed_armed = false;
       ++shed_events_;
-      if (shed_) shed_(core, cs.items.size());
+      if (shed_) shed_(core, n);
     }
-  } else if (cs.items.size() <= cfg_.shed_backlog / 2) {
+  } else if (n <= cfg_.shed_backlog / 2) {
     cs.shed_armed = true; // backlog drained; re-arm the trigger
   }
 }
 
 std::size_t OnlineTracer::backlog(std::uint32_t core) const {
-  auto it = cores_.find(core);
-  return it == cores_.end() ? 0 : it->second.items.size();
+  const std::size_t windows = tracker_.live(core).size();
+  const auto it = cores_.find(core);
+  if (it == cores_.end()) return windows;
+  // Held samples and losses count too, except those of the item running
+  // now: the rest wait on a Leave the markers have gone past (an Enter
+  // that may never be left), and pile up for as long as it stays open.
+  const CoreState& cs = it->second;
+  const Tsc cut = cs.running_since.value_or(std::numeric_limits<Tsc>::max());
+  return windows +
+         static_cast<std::size_t>(first_at(cs.held, cut) - cs.held.begin()) +
+         static_cast<std::size_t>(first_at(cs.held_losses, cut) -
+                                  cs.held_losses.begin());
 }
 
 std::size_t OnlineTracer::max_backlog() const {
   std::size_t worst = 0;
-  for (const auto& [core, cs] : cores_) {
-    worst = std::max(worst, cs.items.size());
-  }
+  for (const auto& [core, cs] : cores_) worst = std::max(worst, backlog(core));
   return worst;
 }
 
-void OnlineTracer::finalize_ready(CoreState& cs, Tsc watermark) {
-  while (!cs.items.empty() && cs.items.front().closed &&
-         cs.items.front().leave < watermark) {
-    PendingItem item = std::move(cs.items.front());
-    cs.items.pop_front();
-    finalize(std::move(item));
+void OnlineTracer::finalize_ready(std::uint32_t core, CoreState& cs,
+                                  Tsc watermark) {
+  // A sample or loss still held inside a window may yet be its own.
+  const auto holds = [&cs](const ItemWindow& w) {
+    const auto within = [&w](const auto& held) {
+      const auto it = first_at(held, w.enter);
+      return it != held.end() && it->tsc <= w.leave;
+    };
+    return within(cs.held) || within(cs.held_losses);
+  };
+  for (auto it = cs.closed.begin(); it != cs.closed.end();) {
+    if (it->w.leave >= watermark || !tracker_.settled(*it) || holds(it->w)) {
+      ++it;
+      continue;
+    }
+    const TrackedWindow t = *it;
+    it = cs.closed.erase(it);
+    Pending p;
+    if (const auto pit = cs.pending.find(t.seq); pit != cs.pending.end()) {
+      p = std::move(pit->second);
+      cs.pending.erase(pit);
+    }
+    tracker_.retire(core, t.seq);
+    finalize(t, std::move(p));
   }
 }
 
-void OnlineTracer::finalize(PendingItem&& item) {
+void OnlineTracer::finalize(const TrackedWindow& t, Pending&& p) {
   OnlineResult res;
-  res.item = item.id;
-  res.core = item.core;
-  res.window = item.leave - item.enter;
-  res.enter = item.enter;
-  res.leave = item.leave;
-  res.samples_lost = item.lost;
-  res.markers_synthesized = item.synth_leave ? 1 : 0;
-  if (item.synth_leave) {
+  res.item = t.w.item;
+  res.core = t.w.core;
+  res.window = t.w.length();
+  res.enter = t.w.enter;
+  res.leave = t.w.leave;
+  res.samples_lost = p.lost;
+  res.markers_synthesized = static_cast<std::uint32_t>(
+      ((t.w.synth & ItemWindow::kSynthEnter) != 0 ? 1 : 0) +
+      ((t.w.synth & ItemWindow::kSynthLeave) != 0 ? 1 : 0));
+  if (t.w.synthesized()) {
     res.confidence = Confidence::Reconstructed;
-  } else if (item.lost > 0) {
+  } else if (p.lost > 0) {
     res.confidence = Confidence::Degraded;
   }
 
-  // Per-function first/last spans from this item's raw samples.
-  std::unordered_map<SymbolId, BucketStat> buckets;
-  for (const PebsSample& s : item.raw) {
+  // Per-function first/last spans from this window's raw samples.
+  FuncSpans spans;
+  for (const PebsSample& s : p.raw) {
     const auto fn = symtab_.resolve(s.ip);
-    if (!fn.has_value()) continue;
-    buckets[*fn].add(s.tsc);
+    if (fn.has_value()) spans[*fn].add(s.tsc);
   }
-  for (const auto& [fn, stat] : buckets) {
-    if (stat.estimable()) res.fn_elapsed.emplace_back(fn, stat.elapsed());
+  for (const auto& [fn, st] : spans) {
+    if (st.estimable()) res.fn_elapsed.emplace_back(fn, st.elapsed());
   }
-  std::sort(res.fn_elapsed.begin(), res.fn_elapsed.end());
 
   // Online statistics: flag if any function (or the whole window)
   // deviates from its running distribution.
   bool flagged = false;
   for (const auto& [fn, elapsed] : res.fn_elapsed) {
-    flagged |= detector_.observe(item.id, fn, elapsed);
+    flagged |= detector_.observe(res.item, fn, elapsed);
   }
   if (cfg_.track_window_metric) {
-    flagged |= detector_.observe(item.id, kWindowMetric, res.window);
+    flagged |= detector_.observe(res.item, kWindowMetric, res.window);
   }
   res.anomalous = flagged;
 
   if (flagged) {
     ++dumps_;
-    bytes_dumped_ += item.raw.size() * kPebsRecordBytes;
+    bytes_dumped_ += p.raw.size() * kPebsRecordBytes;
     OnlineMetrics::get().dumps.inc();
-    if (dump_) dump_(res, item.raw);
+    if (dump_) dump_(res, p.raw);
   }
 
   ++completed_;
@@ -189,7 +251,7 @@ void OnlineTracer::finalize(PendingItem&& item) {
   om.items.inc();
   if (res.confidence != Confidence::Clean) om.degraded.inc();
   om.window.observe(res.window);
-  om.per_item.observe(item.raw.size());
+  om.per_item.observe(p.raw.size());
   if (cfg_.keep_results > 0) {
     results_.push_back(std::move(res));
     while (results_.size() > cfg_.keep_results) results_.pop_front();
@@ -198,23 +260,11 @@ void OnlineTracer::finalize(PendingItem&& item) {
 
 void OnlineTracer::finish() {
   for (auto& [core, cs] : cores_) {
-    while (!cs.items.empty()) {
-      PendingItem item = std::move(cs.items.front());
-      cs.items.pop_front();
-      if (item.closed) {
-        finalize(std::move(item));
-      } else if (cfg_.synthesize_markers) {
-        // Enter without Leave at stream end: the sample watermark bounds
-        // how long the item can still have been on the core.
-        item.leave = std::max(cs.sample_watermark, item.enter);
-        item.closed = true;
-        item.synth_leave = true;
-        ++synthesized_;
-        finalize(std::move(item));
-      } else {
-        ++dropped_; // Enter without Leave at stream end
-      }
-    }
+    // Degraded pairing closes a still-open item at the core's watermark
+    // (nothing later can belong to it); strict pairing drops it.
+    tracker_.finish_core(core, cs.end_watermark, cs.closed);
+    place_held(cs, 0);
+    finalize_ready(core, cs, std::numeric_limits<Tsc>::max());
   }
 }
 

@@ -7,9 +7,16 @@
 //
 // Input model (matching the real system): per core, markers arrive in
 // time order at marking time; samples arrive in time order but delayed in
-// batches (they reach software when a PEBS buffer is drained). An item is
-// finalized once a later sample on its core proves no more of its samples
-// can arrive.
+// batches (they reach software when a PEBS buffer is drained), so when a
+// sample arrives every marker at or before it on its core has arrived.
+// Markers pair and samples attribute through the attribution kernel
+// (attribution.hpp) with the batch rule: a sample belongs to the latest-
+// entered window covering it. A sample inside a window that is still
+// open waits for that window's fate (its Leave, or the end of the
+// stream); under degraded pairing, so does a sample at or after the core's
+// last marker while no item is open, which a Leave with a lost Enter may
+// yet claim. An item is finalized once a later sample on its core proves
+// no more of its samples can arrive.
 #pragma once
 
 #include <cstdint>
@@ -17,12 +24,14 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "fluxtrace/base/markers.hpp"
 #include "fluxtrace/base/samples.hpp"
 #include "fluxtrace/base/symbols.hpp"
+#include "fluxtrace/core/attribution.hpp"
 #include "fluxtrace/core/detector.hpp"
 #include "fluxtrace/core/trace_table.hpp"
 
@@ -64,15 +73,16 @@ struct OnlineTracerConfig {
   /// pseudo-symbol kWindowMetric), so items fluctuate even when no single
   /// function collects two samples.
   bool track_window_metric = true;
-  /// Degraded mode: when a new Enter arrives while the previous item is
-  /// still open (its Leave marker was lost), synthesize the Leave at the
-  /// new Enter's timestamp instead of dropping the item; items still
-  /// open at finish() close at the core's sample watermark. Synthesized
+  /// Degraded mode: pair markers with the kernel's degraded rule instead
+  /// of the strict one — a lost Leave is synthesized at the next Enter on
+  /// the core, a lost Enter at the previous marker edge, and an item still
+  /// open at finish() closes at the core's sample watermark. Synthesized
   /// items are finalized with a Reconstructed confidence.
   bool synthesize_markers = false;
-  /// Load shedding: when a core's pending-item backlog reaches this many
-  /// items (drains falling behind markers), invoke the shed callback —
-  /// wire it to AdaptiveReset::nudge to raise R. 0 = off.
+  /// Load shedding: when a core's backlog (see backlog()) reaches this
+  /// many (drains falling behind markers, or samples piling up behind an
+  /// Enter never left), invoke the shed callback — wire it to
+  /// AdaptiveReset::nudge to raise R. 0 = off.
   std::size_t shed_backlog = 0;
 };
 
@@ -114,16 +124,23 @@ class OnlineTracer {
   [[nodiscard]] std::uint64_t dumps() const { return dumps_; }
   [[nodiscard]] std::uint64_t samples_seen() const { return samples_seen_; }
   [[nodiscard]] std::uint64_t samples_unmatched() const { return unmatched_; }
-  [[nodiscard]] std::uint64_t markers_dropped() const { return dropped_; }
+  /// Markers that made no window (strict pairing).
+  [[nodiscard]] std::uint64_t markers_dropped() const {
+    return tracker_.unmatched();
+  }
+  /// Window edges synthesized (degraded pairing).
   [[nodiscard]] std::uint64_t markers_synthesized() const {
-    return synthesized_;
+    return tracker_.synthesized();
   }
   [[nodiscard]] std::uint64_t samples_lost() const { return samples_lost_; }
   [[nodiscard]] std::uint64_t losses_unattributed() const {
     return losses_unattributed_;
   }
   [[nodiscard]] std::uint64_t shed_events() const { return shed_events_; }
-  /// Current pending-item backlog on one core (drain lag indicator).
+  /// Current backlog on one core: the windows still tracked (drain lag
+  /// indicator), plus the samples and losses held for an open window
+  /// other than the item running now (an Enter whose Leave may never
+  /// come, or, degraded, a window a lost Enter may yet open).
   [[nodiscard]] std::size_t backlog(std::uint32_t core) const;
   /// Largest per-core backlog right now (the watchdog's pressure signal).
   [[nodiscard]] std::size_t max_backlog() const;
@@ -141,32 +158,42 @@ class OnlineTracer {
   }
 
  private:
-  struct PendingItem {
-    ItemId id = kNoItem;
-    std::uint32_t core = 0;
-    Tsc enter = 0;
-    Tsc leave = 0;
-    bool closed = false;
-    bool synth_leave = false; ///< leave was synthesized (degraded mode)
-    std::uint64_t lost = 0;   ///< known losses inside this item's span
+  /// What a tracked window has collected so far.
+  struct Pending {
     SampleVec raw;
+    std::uint64_t lost = 0; ///< known losses inside the window
   };
 
   struct CoreState {
-    std::deque<PendingItem> items; ///< open/closed items, in enter order
-    Tsc sample_watermark = 0;      ///< per-core sample time monotonicity
-    bool shed_armed = true;        ///< backlog-threshold edge trigger
+    std::unordered_map<std::uint64_t, Pending> pending; ///< by window seq
+    std::vector<TrackedWindow> closed; ///< closed, not yet finalized
+    std::deque<PebsSample> held;    ///< ascending tsc; an open window
+    std::deque<SampleLoss> held_losses; ///< may own them
+    /// The latest marker's time when it is an Enter: the item running.
+    std::optional<Tsc> running_since;
+    Tsc end_watermark = 0;          ///< latest sample or loss time
+    bool shed_armed = true;         ///< backlog-threshold edge trigger
   };
 
-  /// Finalize every closed item whose leave is strictly before the
-  /// watermark — per-core time order guarantees its samples are complete.
-  void finalize_ready(CoreState& cs, Tsc watermark);
-  void finalize(PendingItem&& item);
+  /// The window owning a sample or loss at (core, tsc), or nullptr when
+  /// none covers it; false while a window that would own it is open.
+  bool owner(std::uint32_t core, Tsc tsc, Pending** out);
+  /// Give a sample or loss to its owner; false while it must be held.
+  bool place(const PebsSample& s);
+  bool place(const SampleLoss& l);
+  /// Re-place the held samples and losses at or after `from`.
+  void place_held(CoreState& cs, Tsc from);
+  /// Finalize every closed window complete before `watermark`: a later
+  /// sample on the core, no open window holding it back, and nothing
+  /// held inside it.
+  void finalize_ready(std::uint32_t core, CoreState& cs, Tsc watermark);
+  void finalize(const TrackedWindow& t, Pending&& p);
   void check_backlog(std::uint32_t core, CoreState& cs);
 
   const SymbolTable& symtab_;
   OnlineTracerConfig cfg_;
   FluctuationDetector detector_;
+  WindowTracker tracker_;
   std::map<std::uint32_t, CoreState> cores_;
   DumpFn dump_;
   ShedFn shed_;
@@ -175,8 +202,6 @@ class OnlineTracer {
   std::uint64_t dumps_ = 0;
   std::uint64_t samples_seen_ = 0;
   std::uint64_t unmatched_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t synthesized_ = 0;
   std::uint64_t samples_lost_ = 0;
   std::uint64_t losses_unattributed_ = 0;
   std::uint64_t shed_events_ = 0;

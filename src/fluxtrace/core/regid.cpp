@@ -1,9 +1,6 @@
 #include "fluxtrace/core/regid.hpp"
 
-#include <algorithm>
-#include <map>
-
-#include "fluxtrace/core/integrator.hpp"
+#include "fluxtrace/core/attribution.hpp"
 
 namespace fluxtrace::core {
 
@@ -23,38 +20,12 @@ RegisterIdMapper::Comparison RegisterIdMapper::compare_with_windows(
     std::span<const Marker> markers) const {
   Comparison c;
   c.total = samples.size();
-
-  std::map<std::uint32_t, std::vector<ItemWindow>> win_by_core;
-  for (const ItemWindow& w : TraceIntegrator::windows_from_markers(markers)) {
-    win_by_core[w.core].push_back(w);
-  }
-  for (auto& [core, ws] : win_by_core) {
-    std::sort(ws.begin(), ws.end(),
-              [](const ItemWindow& a, const ItemWindow& b) {
-                return a.enter < b.enter;
-              });
-  }
-
+  // The kernel's windows and lookup: the batch integrator's.
+  WindowIndex windows(markers);
   for (const PebsSample& s : samples) {
     const ItemId reg_id = item_of(s);
+    const ItemId win_id = windows.locate(s.core, s.tsc);
     if (reg_id != kNoItem) ++c.by_register;
-
-    ItemId win_id = kNoItem;
-    auto it = win_by_core.find(s.core);
-    if (it != win_by_core.end()) {
-      // Same innermost-cover policy as TraceIntegrator.
-      const std::vector<ItemWindow>& ws = it->second;
-      auto wit = std::upper_bound(
-          ws.begin(), ws.end(), s.tsc,
-          [](Tsc t, const ItemWindow& w) { return t < w.enter; });
-      while (wit != ws.begin()) {
-        --wit;
-        if (s.tsc <= wit->leave) {
-          win_id = wit->item;
-          break;
-        }
-      }
-    }
     if (win_id != kNoItem) ++c.by_window;
     if (reg_id != kNoItem && win_id != kNoItem && reg_id != win_id) {
       ++c.disagree;

@@ -84,25 +84,74 @@ struct ItemQuality {
   friend bool operator==(const ItemQuality&, const ItemQuality&) = default;
 };
 
+/// {item, func} buckets of per-core first/last/count spans: what the
+/// attribution kernel accumulates, and what TraceTable keeps as it is.
+/// Spans never merge across cores (two cores' TSC regions for one item
+/// may interleave arbitrarily). Buckets are indexed by open addressing
+/// (power-of-two slots, linear probing), so lookups allocate nothing.
+class SpanStore {
+ public:
+  /// One {item, func} bucket; its spans, one per core that sampled it,
+  /// chain from `head` through Span::next.
+  struct Bucket {
+    ItemId item = kNoItem;
+    SymbolId fn = kInvalidSymbol;
+    std::int32_t head = -1;
+  };
+
+  /// Count one sample into bucket {item, fn} (created on first use) on
+  /// `core`; returns the bucket.
+  std::int32_t add(ItemId item, SymbolId fn, std::uint32_t core, Tsc tsc);
+  /// The bucket of {item, fn}, or -1.
+  [[nodiscard]] std::int32_t find(ItemId item, SymbolId fn) const;
+
+  [[nodiscard]] std::size_t size() const { return buckets_.size(); }
+  [[nodiscard]] const Bucket& bucket(std::int32_t b) const {
+    return buckets_[static_cast<std::size_t>(b)];
+  }
+  /// last − first per core with >= 2 samples, summed over cores.
+  [[nodiscard]] Tsc elapsed(std::int32_t b) const;
+  /// The bucket's samples over all cores.
+  [[nodiscard]] std::uint64_t samples(std::int32_t b) const;
+  /// Samples counted into every bucket.
+  [[nodiscard]] std::uint64_t total_samples() const { return total_; }
+
+ private:
+  struct Span {
+    std::uint32_t core = 0;
+    std::int32_t next = -1; ///< the bucket's next span, or -1
+    BucketStat stat;
+  };
+
+  /// The slot holding {item, fn}, or the empty slot where it would go.
+  [[nodiscard]] std::size_t probe(ItemId item, SymbolId fn) const;
+  [[nodiscard]] const Span& span(std::int32_t i) const {
+    return spans_[static_cast<std::size_t>(i)];
+  }
+
+  std::vector<Bucket> buckets_;
+  std::vector<Span> spans_;
+  std::vector<std::int32_t> slots_; ///< bucket index, -1 = empty
+  std::uint64_t total_ = 0;
+};
+
 /// Integration result plus bookkeeping about what could not be attributed.
 class TraceTable {
  public:
+  TraceTable() = default;
+  /// A table over the spans the attribution kernel accumulated.
+  explicit TraceTable(SpanStore spans);
+
   // --- construction (used by TraceIntegrator) -------------------------
   void add_sample(ItemId item, SymbolId fn, std::uint32_t core, Tsc tsc);
   void add_window(const ItemWindow& w);
-  void count_unmatched_item() { ++unmatched_item_; }
-  void count_unmatched_symbol() { ++unmatched_symbol_; }
-  void note_sample_lost(ItemId item);
-  void note_sample_salvaged(ItemId item);
-  void count_unattributed_loss() { ++unattributed_loss_; }
-
-  /// Fold another table into this one (used by ParallelIntegrator to
-  /// combine per-core shards). Bucket stats are (min, max, count) — a
-  /// commutative merge; counters are summed; per-item confidence takes
-  /// the worst of the two; `other`'s windows are appended in order, so
-  /// merging shards in ascending core order reproduces the sequential
-  /// window order exactly.
-  void merge_from(TraceTable&& other);
+  void count_unmatched_item(std::uint64_t n = 1) { unmatched_item_ += n; }
+  void count_unmatched_symbol(std::uint64_t n = 1) { unmatched_symbol_ += n; }
+  void note_sample_lost(ItemId item, std::uint64_t n = 1);
+  void note_sample_salvaged(ItemId item, std::uint64_t n = 1);
+  void count_unattributed_loss(std::uint64_t n = 1) {
+    unattributed_loss_ += n;
+  }
 
   // --- queries ---------------------------------------------------------
   /// Estimated elapsed time of `fn` for `item`, summed over the cores the
@@ -134,7 +183,9 @@ class TraceTable {
   /// The item's window on one core, if it crossed that core (first match).
   [[nodiscard]] const ItemWindow* window_of(ItemId item,
                                             std::uint32_t core) const;
-  [[nodiscard]] std::uint64_t total_samples() const { return total_samples_; }
+  [[nodiscard]] std::uint64_t total_samples() const {
+    return spans_.total_samples();
+  }
   [[nodiscard]] std::uint64_t unmatched_item() const { return unmatched_item_; }
   [[nodiscard]] std::uint64_t unmatched_symbol() const {
     return unmatched_symbol_;
@@ -154,26 +205,21 @@ class TraceTable {
     return windows_synthesized_;
   }
 
-  /// Full structural equality — every bucket, window, counter and quality
-  /// record. The parallel/sequential equivalence suite relies on this.
-  friend bool operator==(const TraceTable&, const TraceTable&) = default;
-
  private:
-  // Inner key packs (core, fn) so per-core spans never merge across cores
-  // (two cores' TSC regions for one item may interleave arbitrarily).
-  static std::uint64_t inner_key(std::uint32_t core, SymbolId fn) {
-    return (static_cast<std::uint64_t>(core) << 32) | fn;
-  }
+  /// Chain a new bucket into its item's list.
+  void link(std::int32_t bucket);
 
   /// Degrade the item's confidence to at least `floor` (Clean <
   /// Degraded < Reconstructed; never upgraded).
   void degrade(ItemId item, Confidence floor);
 
-  std::unordered_map<ItemId, std::unordered_map<std::uint64_t, BucketStat>>
-      buckets_;
+  SpanStore spans_;
+  /// Per item its latest bucket; an item's buckets chain through
+  /// next_of_item_ (-1 ends the chain).
+  std::unordered_map<ItemId, std::int32_t> item_head_;
+  std::vector<std::int32_t> next_of_item_;
   std::vector<ItemWindow> windows_;
   std::unordered_map<ItemId, ItemQuality> quality_;
-  std::uint64_t total_samples_ = 0;
   std::uint64_t unmatched_item_ = 0;
   std::uint64_t unmatched_symbol_ = 0;
   std::uint64_t unattributed_loss_ = 0;

@@ -365,7 +365,7 @@ IngestReport Catalog::ingest() {
     if (e.state != TraceState::Quarantined) {
       try {
         const query::SidecarStatus s = query::refresh_sidecar(
-            path, *symtab_, opts_.use_register_ids);
+            path, *symtab_, opts_.use_register_ids, opts_.threads);
         e.sidecar = s == query::SidecarStatus::Fresh ||
                     s == query::SidecarStatus::Rebuilt;
       } catch (const io::TraceIoError&) {
@@ -571,8 +571,8 @@ CompactReport Catalog::compact(std::uint64_t threshold_bytes,
   seg.rows = rows;
   seg.chunks_ok = 0; // strict-written; chunk accounting comes from triage
   try {
-    const query::SidecarStatus s =
-        query::refresh_sidecar(seg_path, *symtab_, opts_.use_register_ids);
+    const query::SidecarStatus s = query::refresh_sidecar(
+        seg_path, *symtab_, opts_.use_register_ids, opts_.threads);
     seg.sidecar = s == query::SidecarStatus::Fresh ||
                   s == query::SidecarStatus::Rebuilt;
   } catch (const io::TraceIoError&) {

@@ -48,6 +48,7 @@ struct CatalogOptions {
   /// Ingest shards (0 = hardware concurrency). Shard i handles every
   /// trace whose scan index ≡ i (mod shards); each shard carries its own
   /// circuit breaker so one bad disk region cannot wedge the others.
+  /// Sidecar rebuilds decode on the same number of threads.
   unsigned threads = 0;
   /// Attribution mode baked into refreshed FLXI sidecars.
   bool use_register_ids = false;

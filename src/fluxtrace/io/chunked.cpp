@@ -1,7 +1,6 @@
 #include "fluxtrace/io/chunked.hpp"
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -15,7 +14,6 @@
 #include "fluxtrace/io/chunk_util.hpp"
 #include "fluxtrace/io/v3.hpp"
 #include "fluxtrace/obs/metrics.hpp"
-#include "fluxtrace/rt/thread_pool.hpp"
 
 namespace fluxtrace::io {
 
@@ -29,19 +27,6 @@ using detail::make_chunk;
 using detail::peek_u8;
 using detail::peek_u32;
 using detail::peek_u64;
-
-// Self-telemetry (ISSUE 3): parallel decode effectiveness — chunks that
-// actually went wide vs. times we had to drop back to the strict
-// sequential parser.
-struct V2Metrics {
-  obs::Counter& chunks = obs::metrics().counter("io.v2.chunks_decoded");
-  obs::Counter& fallbacks = obs::metrics().counter("io.v2.parallel_fallbacks");
-
-  static V2Metrics& get() {
-    static V2Metrics m;
-    return m;
-  }
-};
 
 constexpr std::uint8_t kChunkMarkers = 0;
 constexpr std::uint8_t kChunkSamples = 1;
@@ -583,110 +568,6 @@ void decode_trace_v2_samples_slice(std::string_view file,
     }
     at += kSampleBytes;
   }
-}
-
-TraceData read_trace_v2_body_parallel(std::string_view body,
-                                      rt::ThreadPool& pool) {
-  // Index pass: walk the chunk headers sequentially (header CRCs are 13
-  // bytes each — negligible next to payload work) and record where every
-  // payload lives. Any irregularity whatsoever — bad magic, bad header
-  // CRC, truncation, unknown chunk type, missing eof sentinel — drops to
-  // the sequential strict parser so damaged files produce byte-identical
-  // diagnostics either way.
-  struct ChunkRef {
-    std::uint8_t type;
-    std::uint32_t n_records;
-    std::size_t payload_at;
-    std::uint32_t payload_bytes;
-    std::uint32_t payload_crc;
-  };
-  std::vector<ChunkRef> chunks;
-  bool eof_seen = false;
-  bool irregular = false;
-  std::size_t pos = 0;
-  while (pos < body.size()) {
-    const std::size_t remaining = body.size() - pos;
-    if (remaining < kChunkHeaderBytes) {
-      irregular = true;
-      break;
-    }
-    if (peek_u32(body, pos) != kChunkMagic ||
-        peek_u32(body, pos + 13) != crc32(body.data() + pos, 13)) {
-      irregular = true;
-      break;
-    }
-    const std::uint8_t type = peek_u8(body, pos + 4);
-    const std::uint32_t n_records = peek_u32(body, pos + 5);
-    const std::uint32_t payload_bytes = peek_u32(body, pos + 9);
-    const std::uint32_t payload_crc = peek_u32(body, pos + 17);
-    if (remaining - kChunkHeaderBytes < payload_bytes) {
-      irregular = true; // torn mid-payload
-      break;
-    }
-    if (type == kChunkEof && n_records == 0 && payload_bytes == 0 &&
-        payload_crc == crc32(body.data(), 0)) {
-      eof_seen = true;
-    } else if (type == kChunkMarkers || type == kChunkSamples ||
-               type == kChunkWaitEdges || is_compressed_chunk_type(type)) {
-      chunks.push_back({type, n_records, pos + kChunkHeaderBytes,
-                        payload_bytes, payload_crc});
-    } else {
-      irregular = true; // unknown type (or malformed eof) is corrupt
-      break;
-    }
-    pos += kChunkHeaderBytes + payload_bytes;
-  }
-  if (irregular || !eof_seen) {
-    V2Metrics::get().fallbacks.inc();
-    return read_trace_v2_body(body);
-  }
-
-  // Payload pass: CRC + decode of each chunk is independent; results land
-  // in per-chunk slots and are concatenated in chunk order, which is
-  // exactly the order the sequential parser appends them in.
-  std::vector<TraceData> parts(chunks.size());
-  std::atomic<bool> any_bad{false};
-  pool.parallel_for(chunks.size(), [&](std::size_t i) {
-    const ChunkRef& c = chunks[i];
-    const std::string_view payload = body.substr(c.payload_at, c.payload_bytes);
-    bool ok = c.payload_crc == crc32(payload.data(), payload.size());
-    if (ok) {
-      ok = c.type == kChunkMarkers
-               ? decode_markers(payload, c.n_records, parts[i].markers)
-           : c.type == kChunkSamples
-               ? decode_samples(payload, c.n_records, parts[i].samples)
-           : c.type == kChunkWaitEdges
-               ? decode_wait_edges(payload, c.n_records, parts[i].wait_edges)
-               : decode_compressed_chunk(c.type, payload, c.n_records,
-                                         parts[i]);
-    }
-    if (!ok) any_bad.store(true, std::memory_order_relaxed);
-  });
-  if (any_bad.load()) {
-    V2Metrics::get().fallbacks.inc();
-    return read_trace_v2_body(body);
-  }
-  V2Metrics::get().chunks.inc(chunks.size());
-
-  std::size_t n_markers = 0;
-  std::size_t n_samples = 0;
-  std::size_t n_waits = 0;
-  for (const TraceData& p : parts) {
-    n_markers += p.markers.size();
-    n_samples += p.samples.size();
-    n_waits += p.wait_edges.size();
-  }
-  TraceData out;
-  out.markers.reserve(n_markers);
-  out.samples.reserve(n_samples);
-  out.wait_edges.reserve(n_waits);
-  for (TraceData& p : parts) {
-    out.markers.insert(out.markers.end(), p.markers.begin(), p.markers.end());
-    out.samples.insert(out.samples.end(), p.samples.begin(), p.samples.end());
-    out.wait_edges.insert(out.wait_edges.end(), p.wait_edges.begin(),
-                          p.wait_edges.end());
-  }
-  return out;
 }
 
 void save_trace_v2(const std::string& path, const TraceData& data,

@@ -37,10 +37,6 @@
 
 #include "fluxtrace/io/trace_file.hpp"
 
-namespace fluxtrace::rt {
-class ThreadPool;
-}
-
 namespace fluxtrace::io {
 
 inline constexpr std::uint32_t kTraceVersion2 = 2;
@@ -193,13 +189,5 @@ struct SampleColumnSlice {
 void decode_trace_v2_samples_slice(std::string_view file,
                                    const V2ChunkRef& ref,
                                    const SampleColumnSlice& out);
-
-/// Chunk-parallel strict v2 body parse: one sequential index pass over
-/// the chunk headers, then payload CRC checks and record decodes run
-/// concurrently on `pool`, concatenated in chunk order — the result (and
-/// any damage error) is identical to the sequential parse. io-internal,
-/// used by TraceReader::read_parallel.
-[[nodiscard]] TraceData read_trace_v2_body_parallel(std::string_view body,
-                                                    rt::ThreadPool& pool);
 
 } // namespace fluxtrace::io

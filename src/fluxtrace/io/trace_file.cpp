@@ -1,7 +1,6 @@
 #include "fluxtrace/io/trace_file.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -10,7 +9,6 @@
 #include "fluxtrace/io/chunked.hpp"
 #include "fluxtrace/io/legacy.hpp"
 #include "fluxtrace/report/csv.hpp"
-#include "fluxtrace/rt/thread_pool.hpp"
 
 namespace fluxtrace::io {
 
@@ -237,47 +235,6 @@ TraceData read_trace_v1_body(std::string_view body) {
                 l.samples_at + static_cast<std::size_t>(i) * kV1SampleBytes, s);
     data.samples.push_back(s);
   }
-  return data;
-}
-
-TraceData read_trace_v1_body_parallel(std::string_view body,
-                                      rt::ThreadPool& pool) {
-  const V1Layout l = v1_layout(body);
-  TraceData data;
-  data.markers.resize(static_cast<std::size_t>(l.n_markers));
-  data.samples.resize(static_cast<std::size_t>(l.n_samples));
-
-  // Fixed-count record blocks; each task fills a disjoint slice of the
-  // pre-sized output vectors, so no synchronization is needed beyond the
-  // shared bad-record flag.
-  constexpr std::size_t kBlockRecords = 1u << 16;
-  const std::size_t m_blocks =
-      (data.markers.size() + kBlockRecords - 1) / kBlockRecords;
-  const std::size_t s_blocks =
-      (data.samples.size() + kBlockRecords - 1) / kBlockRecords;
-  std::atomic<bool> bad_kind{false};
-  pool.parallel_for(m_blocks + s_blocks, [&](std::size_t b) {
-    if (b < m_blocks) {
-      const std::size_t begin = b * kBlockRecords;
-      const std::size_t end =
-          std::min(begin + kBlockRecords, data.markers.size());
-      for (std::size_t i = begin; i < end; ++i) {
-        if (!peek_marker(body, l.markers_at + i * kV1MarkerBytes,
-                         data.markers[i])) {
-          bad_kind.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-    } else {
-      const std::size_t begin = (b - m_blocks) * kBlockRecords;
-      const std::size_t end =
-          std::min(begin + kBlockRecords, data.samples.size());
-      for (std::size_t i = begin; i < end; ++i) {
-        peek_sample(body, l.samples_at + i * kV1SampleBytes, data.samples[i]);
-      }
-    }
-  });
-  if (bad_kind.load()) throw TraceIoError("corrupt marker record (bad kind)");
   return data;
 }
 

@@ -22,10 +22,6 @@
 #include "fluxtrace/base/samples.hpp"
 #include "fluxtrace/base/wait.hpp"
 
-namespace fluxtrace::rt {
-class ThreadPool;
-}
-
 namespace fluxtrace::io {
 
 class TraceIoError : public std::runtime_error {
@@ -63,14 +59,6 @@ void save_trace(const std::string& path, const TraceData& data);
 /// streams). Trailing bytes beyond the counted records are ignored, like
 /// the stream reader. io-internal, used by TraceReader.
 [[nodiscard]] TraceData read_trace_v1_body(std::string_view body);
-
-/// Parallel v1 body parse: the counted header makes every record's offset
-/// known up front, so fixed-size record blocks decode concurrently into
-/// disjoint ranges of the output vectors. Result and error behaviour are
-/// identical to read_trace_v1_body(). io-internal, used by
-/// TraceReader::read_parallel.
-[[nodiscard]] TraceData read_trace_v1_body_parallel(std::string_view body,
-                                                    rt::ThreadPool& pool);
 
 /// CSV export: one stream per call, RFC-4180 cells, header row included.
 void write_markers_csv(std::ostream& os, const std::vector<Marker>& markers);

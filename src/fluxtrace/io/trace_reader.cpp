@@ -9,7 +9,6 @@
 #include <cstring>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 #include "fluxtrace/io/compact.hpp"
 #include "fluxtrace/io/legacy.hpp"
@@ -17,7 +16,6 @@
 #include "fluxtrace/io/v3.hpp"
 #include "fluxtrace/obs/metrics.hpp"
 #include "fluxtrace/obs/span.hpp"
-#include "fluxtrace/rt/thread_pool.hpp"
 
 namespace fluxtrace::io {
 
@@ -202,39 +200,6 @@ TraceData TraceReader::read() const {
   }
 }
 
-TraceData TraceReader::read_parallel(unsigned n_threads) const {
-  unsigned n = n_threads != 0
-                   ? n_threads
-                   : std::max(1u, std::thread::hardware_concurrency());
-  // FLXZ carries decoder state (deltas, per-core runs) through the whole
-  // stream, so it cannot be split; Unknown throws the same error either
-  // way. Both take the sequential path, as does a one-thread request.
-  if (n <= 1 || format_ == TraceFormat::Flxz ||
-      format_ == TraceFormat::Unknown) {
-    return read();
-  }
-  OBS_SPAN("io.read_parallel");
-  IoMetrics::get().reads.inc();
-  IoMetrics::get().bytes.inc(view_.size());
-  try {
-    bool shrank = false;
-    const std::string_view whole = safe_view(&shrank);
-    if (shrank) {
-      throw TraceIoError("file truncated while mapped (" +
-                         std::to_string(whole.size()) + " of " +
-                         std::to_string(view_.size()) + " bytes remain)");
-    }
-    const std::string_view body = whole.substr(8);
-    rt::ThreadPool pool(n);
-    return format_ == TraceFormat::FlxtV1
-               ? read_trace_v1_body_parallel(body, pool)
-               : read_trace_v2_body_parallel(body, pool);
-  } catch (const TraceIoError& e) {
-    if (path_.empty()) throw;
-    throw TraceIoError(std::string(e.what()) + ": " + path_);
-  }
-}
-
 SalvageReport TraceReader::salvage() const {
   OBS_SPAN("io.salvage");
   // Chunked formats recover chunk by chunk. Unknown bytes get the same
@@ -279,11 +244,10 @@ TraceTriage classify_trace(const TraceReader& reader) {
   return t;
 }
 
-TraceReader::ReadResult TraceReader::read_or_salvage(
-    unsigned n_threads) const {
+TraceReader::ReadResult TraceReader::read_or_salvage() const {
   ReadResult out;
   try {
-    out.data = read_parallel(n_threads);
+    out.data = read();
   } catch (const TraceIoError&) {
     out.data = std::move(salvage().data);
     out.salvaged = true;

@@ -5,11 +5,6 @@
 // and hands back a TraceReader that can
 //
 //   * read()            — strict parse, TraceIoError on any damage;
-//   * read_parallel(n)  — same result, decoded on n threads (v1 splits
-//                         into fixed-size record blocks, v2 decodes
-//                         chunks concurrently; FLXZ is a delta-coded
-//                         varint stream with carried state, so it falls
-//                         back to the sequential parse);
 //   * salvage()         — best-effort recovery, never throws on damage
 //                         (v2 recovers per chunk; v1/FLXZ are all-or-
 //                         nothing monolithic streams).
@@ -84,19 +79,13 @@ class TraceReader {
   /// unrecognized format; errors carry the path when one is known.
   [[nodiscard]] TraceData read() const;
 
-  /// read() decoded on `n_threads` workers (0 = hardware concurrency).
-  /// Returns exactly what read() returns — the thread count is never
-  /// observable in the result. n_threads <= 1 and FLXZ input run the
-  /// sequential parse.
-  [[nodiscard]] TraceData read_parallel(unsigned n_threads = 0) const;
-
   /// Best-effort recovery; never throws on damaged content. FLXT v2 (and
   /// Unknown input, which may be a v2 file with a destroyed header)
   /// recovers chunk by chunk; the monolithic v1/FLXZ formats parse
   /// strictly and report either the full trace or nothing.
   [[nodiscard]] SalvageReport salvage() const;
 
-  /// read_parallel() with the standard degraded-mode policy every
+  /// read() with the standard degraded-mode policy every
   /// analysis consumer wants: a strict parse, and when that reports
   /// damage, the salvaged subset instead of an error. `salvaged` is true
   /// iff the strict parse failed and the rows are a best-effort subset.
@@ -104,7 +93,7 @@ class TraceReader {
     TraceData data;
     bool salvaged = false;
   };
-  [[nodiscard]] ReadResult read_or_salvage(unsigned n_threads = 0) const;
+  [[nodiscard]] ReadResult read_or_salvage() const;
 
   // Prefer the open_trace() free functions; this is their plumbing.
   TraceReader(std::string bytes, std::string path);

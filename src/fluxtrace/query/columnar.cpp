@@ -2,15 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
-#include <map>
 #include <thread>
-#include <unordered_map>
-#include <utility>
 
 #include "fluxtrace/base/regs.hpp"
-#include "fluxtrace/core/integrator.hpp"
-#include "fluxtrace/core/trace_table.hpp"
+#include "fluxtrace/core/attribution.hpp"
 #include "fluxtrace/io/chunked.hpp"
 #include "fluxtrace/io/v3.hpp"
 #include "fluxtrace/obs/span.hpp"
@@ -22,83 +17,14 @@ namespace {
 
 constexpr std::size_t idx(Field f) { return static_cast<std::size_t>(f); }
 
-// Per-core windows with the same innermost-cover probe the integrator
-// uses (integrator.cpp `locate`), so `item` here always agrees with what
-// flxt_report would print for the same trace.
-struct CoreWindows {
-  std::vector<core::ItemWindow> ws;
-  std::vector<Tsc> prefix_max_leave;
-};
-
-std::map<std::uint32_t, CoreWindows> windows_by_core(
-    const std::vector<Marker>& markers) {
-  std::map<std::uint32_t, CoreWindows> out;
-  for (const core::ItemWindow& w :
-       core::TraceIntegrator::windows_from_markers(markers)) {
-    out[w.core].ws.push_back(w);
-  }
-  for (auto& [c, cw] : out) {
-    std::sort(cw.ws.begin(), cw.ws.end(),
-              [](const core::ItemWindow& a, const core::ItemWindow& b) {
-                return a.enter < b.enter;
-              });
-    cw.prefix_max_leave.resize(cw.ws.size());
-    Tsc running = 0;
-    for (std::size_t i = 0; i < cw.ws.size(); ++i) {
-      running = std::max(running, cw.ws[i].leave);
-      cw.prefix_max_leave[i] = running;
-    }
-  }
-  return out;
-}
-
-// Everything the attribution loop tracks per core: the window cursor
-// (samples are near-sorted in time per core, so the previous row's
-// window almost always covers the next row too) and the open {item,
-// func} bucket run (consecutive same-item samples reuse the bucket
-// without touching the global map).
-struct CoreState {
-  const CoreWindows* windows = nullptr;
-  std::size_t cursor = 0;
-  std::int64_t run_item = -1;
-  std::vector<std::int32_t> fn_bucket; // per func id: bucket index or -1
-  std::vector<std::int32_t> fn_span;   // per func id: span slot in bucket
-  std::vector<std::uint32_t> touched;  // func ids to reset on item change
-};
-
-// The integrator's innermost-cover probe with a cursor fast path. The
-// fast path fires only when the cursor window provably *is* the
-// innermost cover (it contains tsc and the next window starts strictly
-// later), so the result is identical to the full backward walk.
-ItemId locate(CoreState& cs, Tsc tsc) {
-  if (cs.windows == nullptr) return kNoItem;
-  const std::vector<core::ItemWindow>& ws = cs.windows->ws;
-  const std::vector<Tsc>& pmax = cs.windows->prefix_max_leave;
-  const std::size_t cur = cs.cursor;
-  if (cur < ws.size() && ws[cur].enter <= tsc && tsc <= ws[cur].leave &&
-      (cur + 1 == ws.size() || tsc < ws[cur + 1].enter)) {
-    return ws[cur].item;
-  }
-  auto wit = std::upper_bound(
-      ws.begin(), ws.end(), tsc,
-      [](Tsc t, const core::ItemWindow& w) { return t < w.enter; });
-  while (wit != ws.begin()) {
-    const std::size_t i = static_cast<std::size_t>(wit - ws.begin()) - 1;
-    if (pmax[i] < tsc) break;
-    --wit;
-    if (tsc <= wit->leave) {
-      cs.cursor = static_cast<std::size_t>(wit - ws.begin());
-      return wit->item;
-    }
-  }
-  return kNoItem;
-}
-
 } // namespace
 
 void ColumnarTrace::attribute(const std::vector<Marker>& markers,
                               const SymbolTable& symtab,
                               const BuildOptions& opts) {
+  // The attribution kernel, one pass over the rows: the same procedure
+  // TraceIntegrator runs, so `item` and `dur` here always agree with what
+  // flxt_report prints for the same trace.
   const std::size_t n = n_rows_;
   const std::int64_t* ts = cols_[idx(Field::Ts)].data();
   const std::int64_t* ip = cols_[idx(Field::Ip)].data();
@@ -107,135 +33,30 @@ void ColumnarTrace::attribute(const std::vector<Marker>& markers,
   std::int64_t* func_c = cols_[idx(Field::Func)].data();
   std::int64_t* dur_c = cols_[idx(Field::Dur)].data();
 
-  const std::map<std::uint32_t, CoreWindows> win_by_core =
-      opts.use_register_ids ? std::map<std::uint32_t, CoreWindows>{}
-                            : windows_by_core(markers);
-  const std::size_t n_funcs = symtab.size();
-
-  // {item, func} buckets, one CoreSpan per core that sampled the bucket
-  // (usually one). Mirrors TraceTable's layout so dur sums per-core
-  // spans exactly like TraceTable::elapsed.
-  struct CoreSpan {
-    std::uint32_t core;
-    Tsc first;
-    Tsc last;
-    std::uint64_t samples;
-  };
-  struct Bucket {
-    std::int64_t elapsed = 0;
-    std::vector<CoreSpan> spans;
-  };
-  struct PairHash {
-    std::size_t operator()(
-        const std::pair<std::uint64_t, std::uint64_t>& p) const {
-      return std::hash<std::uint64_t>{}(p.first * 0x9e3779b97f4a7c15ull ^
-                                        p.second);
-    }
-  };
-  std::vector<Bucket> buckets;
-  std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t,
-                     PairHash>
-      bucket_ids;
+  core::Attributor a(markers, symtab,
+                     {.use_register_ids = opts.use_register_ids});
   std::vector<std::int32_t> row_bucket(n, -1);
-
-  std::unordered_map<std::uint32_t, CoreState> cores;
-  CoreState* cs = nullptr;
-  std::uint32_t cs_core = 0;
-  // One-entry ip -> func cache: PEBS ips repeat heavily (hot loops), and
-  // symtab.resolve is a binary search per miss.
-  std::uint64_t cached_ip = ~std::uint64_t{0};
-  std::int64_t cached_fn = -1;
-  bool cache_valid = false;
-
   for (std::size_t i = 0; i < n; ++i) {
-    const auto core = static_cast<std::uint32_t>(core_c[i]);
-    if (cs == nullptr || core != cs_core) {
-      CoreState& state = cores[core];
-      if (state.fn_bucket.empty() && n_funcs > 0) {
-        state.fn_bucket.assign(n_funcs, -1);
-        state.fn_span.assign(n_funcs, -1);
-      }
-      if (!opts.use_register_ids && state.windows == nullptr) {
-        const auto wit = win_by_core.find(core);
-        if (wit != win_by_core.end()) state.windows = &wit->second;
-      }
-      cs = &state;
-      cs_core = core;
-    }
-    const Tsc tsc = static_cast<Tsc>(ts[i]);
-
-    std::int64_t item;
-    if (opts.use_register_ids) {
-      item = item_c[i]; // pre-filled from the sampled register
-    } else {
-      item = static_cast<std::int64_t>(locate(*cs, tsc));
-      item_c[i] = item;
-    }
-
-    const auto uip = static_cast<std::uint64_t>(ip[i]);
-    std::int64_t fn;
-    if (cache_valid && uip == cached_ip) {
-      fn = cached_fn;
-    } else {
-      const auto r = symtab.resolve(uip);
-      fn = r.has_value() ? static_cast<std::int64_t>(*r) : -1;
-      cached_ip = uip;
-      cached_fn = fn;
-      cache_valid = true;
-    }
-    func_c[i] = fn;
-
-    if (item != -1 && fn >= 0) {
-      if (item != cs->run_item) {
-        for (const std::uint32_t f : cs->touched) cs->fn_bucket[f] = -1;
-        cs->touched.clear();
-        cs->run_item = item;
-      }
-      const auto fi = static_cast<std::size_t>(fn);
-      std::int32_t b = cs->fn_bucket[fi];
-      if (b < 0) {
-        const auto [it, inserted] = bucket_ids.try_emplace(
-            {static_cast<std::uint64_t>(item), static_cast<std::uint64_t>(fn)},
-            static_cast<std::uint32_t>(buckets.size()));
-        if (inserted) buckets.emplace_back();
-        b = static_cast<std::int32_t>(it->second);
-        Bucket& bk = buckets[static_cast<std::size_t>(b)];
-        std::int32_t si = -1;
-        for (std::size_t k = 0; k < bk.spans.size(); ++k) {
-          if (bk.spans[k].core == core) {
-            si = static_cast<std::int32_t>(k);
-            break;
-          }
-        }
-        if (si < 0) {
-          si = static_cast<std::int32_t>(bk.spans.size());
-          bk.spans.push_back(CoreSpan{core, tsc, tsc, 0});
-        }
-        cs->fn_bucket[fi] = b;
-        cs->fn_span[fi] = si;
-        cs->touched.push_back(static_cast<std::uint32_t>(fi));
-      }
-      CoreSpan& sp = buckets[static_cast<std::size_t>(b)]
-                         .spans[static_cast<std::size_t>(cs->fn_span[fi])];
-      if (tsc < sp.first) sp.first = tsc;
-      if (tsc > sp.last) sp.last = tsc;
-      ++sp.samples;
-      row_bucket[i] = b;
-    }
+    // In register-id mode the item column holds the sampled register.
+    const core::Attributor::Row r =
+        a.add(static_cast<std::uint32_t>(core_c[i]), static_cast<Tsc>(ts[i]),
+              static_cast<std::uint64_t>(ip[i]),
+              opts.use_register_ids ? static_cast<ItemId>(item_c[i]) : kNoItem);
+    item_c[i] = static_cast<std::int64_t>(r.item);
+    func_c[i] = r.func;
+    row_bucket[i] = r.bucket;
   }
 
-  // Per-bucket elapsed (>=2 samples per core, summed over cores), then
-  // one gather broadcasts it onto the rows.
-  for (Bucket& bk : buckets) {
-    std::uint64_t total = 0;
-    for (const CoreSpan& sp : bk.spans) {
-      if (sp.samples >= 2) total += sp.last - sp.first;
-    }
-    bk.elapsed = static_cast<std::int64_t>(total);
+  // Per-bucket elapsed, then one gather broadcasts it onto the rows.
+  const core::SpanStore& spans = a.spans();
+  std::vector<std::int64_t> elapsed(spans.size());
+  for (std::size_t b = 0; b < elapsed.size(); ++b) {
+    elapsed[b] =
+        static_cast<std::int64_t>(spans.elapsed(static_cast<std::int32_t>(b)));
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (row_bucket[i] >= 0) {
-      dur_c[i] = buckets[static_cast<std::size_t>(row_bucket[i])].elapsed;
+      dur_c[i] = elapsed[static_cast<std::size_t>(row_bucket[i])];
     }
   }
 }
@@ -377,7 +198,7 @@ ColumnarTrace ColumnarTrace::from_reader(const io::TraceReader& reader,
       // fall through
     }
   }
-  const io::TraceReader::ReadResult rr = reader.read_or_salvage(n_threads);
+  const io::TraceReader::ReadResult rr = reader.read_or_salvage();
   ColumnarTrace t = build(rr.data, symtab, opts);
   t.salvaged_ = rr.salvaged;
   return t;

@@ -1,9 +1,9 @@
 // The columnar (SoA) trace store the query engine scans (ISSUE 5; batch
 // API since ISSUE 7): one row per PEBS sample, six int64 columns.
-// Attribution happens at build time, mirroring core::TraceIntegrator
-// exactly:
+// Attribution happens at build time, through the attribution kernel
+// core::TraceIntegrator runs too (core/attribution.hpp):
 //
-//   item — the innermost marker window covering (core, ts), or the
+//   item — the latest-entered marker window covering (core, ts), or the
 //          sampled id register in use_register_ids mode; kNoItem → -1
 //   func — SymbolTable::resolve(ip); unresolved → -1
 //   dur  — the elapsed-time estimate of the row's {item, func} bucket

@@ -263,7 +263,7 @@ const char* to_string(SidecarStatus s) {
 
 SidecarStatus refresh_sidecar(const std::string& trace_path,
                               const SymbolTable& symtab,
-                              bool use_register_ids) {
+                              bool use_register_ids, unsigned n_threads) {
   const io::TraceReader reader = io::open_trace(trace_path);
   const std::uint32_t crc =
       io::crc32(reader.bytes().data(), reader.bytes().size());
@@ -280,7 +280,7 @@ SidecarStatus refresh_sidecar(const std::string& trace_path,
     return SidecarStatus::Unindexable;
   }
   const ColumnarTrace table = ColumnarTrace::from_reader(
-      reader, symtab, BuildOptions{use_register_ids, 65536});
+      reader, symtab, BuildOptions{use_register_ids, 65536}, n_threads);
   const auto idx = build_flxi(reader, table, symtab, use_register_ids, crc);
   if (!idx.has_value()) return SidecarStatus::Unindexable;
   return save_flxi(flxi_path(trace_path), *idx) ? SidecarStatus::Rebuilt

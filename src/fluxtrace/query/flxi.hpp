@@ -124,10 +124,12 @@ enum class SidecarStatus : std::uint8_t {
 /// refresh path behind `flxt_recover --rebuild-index` and the hub's
 /// ingest pipeline. A sidecar that already pins the current bytes,
 /// symbol table, and attribution mode is left untouched (Fresh); a
-/// missing/stale/damaged one is rebuilt from a full decode. Throws
+/// missing/stale/damaged one is rebuilt from a full decode on
+/// `n_threads` workers (0 = hardware concurrency). Throws
 /// io::TraceIoError only when the trace itself cannot be read at all.
 [[nodiscard]] SidecarStatus refresh_sidecar(const std::string& trace_path,
                                             const SymbolTable& symtab,
-                                            bool use_register_ids);
+                                            bool use_register_ids,
+                                            unsigned n_threads = 0);
 
 } // namespace fluxtrace::query

@@ -1,6 +1,7 @@
 #include "fluxtrace/query/stream.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "fluxtrace/obs/metrics.hpp"
 
@@ -75,91 +76,82 @@ void StreamingQuery::fold_matched(std::size_t row, WindowResult& w) {
   }
 }
 
-void StreamingQuery::emit_window(std::uint32_t core, ItemId item, Tsc enter,
-                                 Tsc leave, CoreState& cs,
+void StreamingQuery::emit_window(const core::TrackedWindow& t,
+                                 CoreState& cs,
                                  std::vector<WindowResult>& out) {
+  const ItemId item = t.w.item;
+  const std::uint32_t core = t.w.core;
   WindowResult w;
   w.item = item;
   w.core = core;
-  w.enter = enter;
-  w.leave = leave;
+  w.enter = t.w.enter;
+  w.leave = t.w.leave;
 
-  // Pull this window's samples out of the pending buffer. Nested windows
-  // seal innermost-first (earlier leave), so an inner window has already
-  // consumed its rows by the time the outer one gets here — the same
-  // innermost-cover rule the batch columnar build applies.
-  //
-  // Rows gather into the per-window column buffers in fold order —
-  // unresolved-ip rows first (pending order, func = -1, dur = 0), then
-  // per-function ascending — and the filter evaluates once over the
-  // whole window as one column block.
-  struct FnSpan {
-    Tsc first = 0;
-    Tsc last = 0;
-    std::vector<PendingSample> rows;
+  // Claim the buffered samples the kernel gives this window: those it
+  // covers that no later-entered window covers.
+  struct Row {
+    std::int64_t fn;
+    PendingSample s;
   };
-  std::map<SymbolId, FnSpan> by_fn;
-
-  for (auto& c : wincols_) c.clear();
-  const auto push_row = [&](std::int64_t fn, std::int64_t ts, std::int64_t dur,
-                            std::int64_t ip) {
-    wincols_[static_cast<std::size_t>(Field::Item)].push_back(
-        static_cast<std::int64_t>(item));
-    wincols_[static_cast<std::size_t>(Field::Func)].push_back(fn);
-    wincols_[static_cast<std::size_t>(Field::Core)].push_back(
-        static_cast<std::int64_t>(core));
-    wincols_[static_cast<std::size_t>(Field::Ts)].push_back(ts);
-    wincols_[static_cast<std::size_t>(Field::Dur)].push_back(dur);
-    wincols_[static_cast<std::size_t>(Field::Ip)].push_back(ip);
-  };
-
-  for (auto it = cs.pending.begin(); it != cs.pending.end();) {
-    if (it->tsc >= enter && it->tsc <= leave) {
-      ++w.rows;
-      const auto fn = symtab_.resolve(it->ip);
-      if (fn.has_value()) {
-        FnSpan& sp = by_fn[*fn];
-        if (sp.rows.empty()) {
-          sp.first = it->tsc;
-          sp.last = it->tsc;
-        } else {
-          sp.first = std::min(sp.first, it->tsc);
-          sp.last = std::max(sp.last, it->tsc);
-        }
-        sp.rows.push_back(*it);
-      } else {
-        // Unresolvable ip: the row still exists (func = -1, dur = 0).
-        push_row(-1, static_cast<std::int64_t>(it->tsc), 0,
-                 static_cast<std::int64_t>(it->ip));
-      }
-      it = cs.pending.erase(it);
-    } else {
-      ++it;
+  std::vector<Row> rows;
+  core::FuncSpans spans;
+  const auto by_tsc = [](const PendingSample& p, Tsc x) { return p.tsc < x; };
+  const auto lo = std::lower_bound(cs.pending.begin(), cs.pending.end(),
+                                   t.w.enter, by_tsc);
+  auto hi = lo;
+  auto keep = lo;
+  for (; hi != cs.pending.end() && hi->tsc <= t.w.leave; ++hi) {
+    std::uint64_t seq = 0;
+    if (tracker_.owner(core, hi->tsc, &seq) !=
+            core::WindowTracker::Verdict::Owned ||
+        seq != t.seq) {
+      *keep++ = *hi;
+      continue;
     }
+    const auto fn = symtab_.resolve(hi->ip);
+    if (fn.has_value()) spans[*fn].add(hi->tsc);
+    rows.push_back({fn.has_value() ? static_cast<std::int64_t>(*fn) : -1, *hi});
   }
+  cs.pending.erase(keep, hi);
+  w.rows = rows.size();
 
+  // Rows gather into the per-window column buffers in fold order —
+  // unresolved-ip rows first (func = -1, dur = 0), then per function
+  // ascending, each in time order — and the filter evaluates once over
+  // the whole window as one column block. A row's dur is its function's
+  // span within the window.
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const Row& x, const Row& y) { return x.fn < y.fn; });
   // Detector observations fire after the owning function's rows fold, in
-  // by_fn order — `end` marks where each function's rows stop.
+  // function order — `end` marks where each function's rows stop.
   struct FnMark {
     SymbolId fn = kInvalidSymbol;
     Tsc span = 0;
     std::size_t end = 0;
   };
   std::vector<FnMark> marks;
-  marks.reserve(by_fn.size());
-  for (const auto& [fn, sp] : by_fn) {
-    const Tsc span = sp.last - sp.first;
-    for (const PendingSample& s : sp.rows) {
-      push_row(static_cast<std::int64_t>(fn),
-               static_cast<std::int64_t>(s.tsc),
-               static_cast<std::int64_t>(span),
-               static_cast<std::int64_t>(s.ip));
+  for (auto& c : wincols_) c.clear();
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const Row& r = rows[k];
+    Tsc span = 0;
+    if (r.fn >= 0) {
+      const auto fn = static_cast<SymbolId>(r.fn);
+      span = spans.at(fn).elapsed();
+      if (marks.empty() || marks.back().fn != fn) marks.push_back({fn, span, 0});
+      marks.back().end = k + 1;
     }
-    marks.push_back(
-        {fn, span, wincols_[static_cast<std::size_t>(Field::Item)].size()});
+    const auto col = [this](Field f) -> std::vector<std::int64_t>& {
+      return wincols_[static_cast<std::size_t>(f)];
+    };
+    col(Field::Item).push_back(static_cast<std::int64_t>(item));
+    col(Field::Func).push_back(r.fn);
+    col(Field::Core).push_back(static_cast<std::int64_t>(core));
+    col(Field::Ts).push_back(static_cast<std::int64_t>(r.s.tsc));
+    col(Field::Dur).push_back(static_cast<std::int64_t>(span));
+    col(Field::Ip).push_back(static_cast<std::int64_t>(r.s.ip));
   }
 
-  const std::size_t n = wincols_[static_cast<std::size_t>(Field::Item)].size();
+  const std::size_t n = rows.size();
   if (filter_eval_.has_value() && n > 0) {
     filter_mask_.resize(n);
     ColumnBlock blk;
@@ -178,14 +170,14 @@ void StreamingQuery::emit_window(std::uint32_t core, ItemId item, Tsc enter,
       if (!detector_.has_value()) continue;
       // Continuous outliers: one {item, func} elapsed estimate per
       // window, flagged against the function's running statistics in
-      // the very call that closed the window.
+      // the very call that sealed the window.
       if (detector_->observe(item, mk.fn, mk.span)) {
         StreamAlert a;
         a.item = item;
         a.func = mk.fn;
         a.core = core;
-        a.window_enter = enter;
-        a.window_leave = leave;
+        a.window_enter = w.enter;
+        a.window_leave = w.leave;
         a.elapsed = mk.span;
         a.mean = detector_->mean(mk.fn);
         a.sigma = detector_->sigma(mk.fn);
@@ -205,29 +197,28 @@ void StreamingQuery::emit_window(std::uint32_t core, ItemId item, Tsc enter,
 }
 
 void StreamingQuery::seal_ready_windows(std::uint32_t core, CoreState& cs,
-                                        bool force,
                                         std::vector<WindowResult>& out) {
-  // Innermost-first: ascending leave edge.
-  std::sort(cs.closed.begin(), cs.closed.end(),
-            [](const CoreState::ClosedWindow& a,
-               const CoreState::ClosedWindow& b) { return a.leave < b.leave; });
-  std::size_t sealed = 0;
-  for (const CoreState::ClosedWindow& c : cs.closed) {
-    if (!force && c.leave > cs.watermark) break;
-    emit_window(core, c.item, c.enter, c.leave, cs, out);
-    ++sealed;
+  // Innermost first: ascending leave edge, then entry order.
+  const auto ready = std::partition(
+      cs.closed.begin(), cs.closed.end(),
+      [this](const core::TrackedWindow& t) { return !tracker_.settled(t); });
+  std::sort(ready, cs.closed.end(),
+            [](const core::TrackedWindow& a, const core::TrackedWindow& b) {
+              return std::tie(a.w.leave, a.seq) < std::tie(b.w.leave, b.seq);
+            });
+  for (auto it = ready; it != cs.closed.end(); ++it) emit_window(*it, cs, out);
+  for (auto it = ready; it != cs.closed.end(); ++it) {
+    tracker_.retire(core, it->seq);
   }
-  cs.closed.erase(cs.closed.begin(),
-                  cs.closed.begin() + static_cast<std::ptrdiff_t>(sealed));
+  cs.closed.erase(ready, cs.closed.end());
 
   // Age out samples that can no longer match any window: older than the
-  // watermark (minus slack) and below every boundary still in play.
+  // watermark (minus slack) and below every window still in play.
   Tsc floor = cs.watermark > opts_.attribution_slack
                   ? cs.watermark - opts_.attribution_slack
                   : 0;
-  for (const OpenWindow& o : cs.open) floor = std::min(floor, o.enter);
-  for (const CoreState::ClosedWindow& c : cs.closed) {
-    floor = std::min(floor, c.enter);
+  for (const core::TrackedWindow& t : tracker_.live(core)) {
+    floor = std::min(floor, t.w.enter);
   }
   while (!cs.pending.empty() && cs.pending.front().tsc < floor) {
     ++stats_.rows_unattributed;
@@ -263,20 +254,7 @@ std::vector<WindowResult> StreamingQuery::ingest(const io::TraceData& batch) {
     ++stats_.markers;
     CoreState& cs = cores_[m.core];
     cs.watermark = std::max(cs.watermark, m.tsc);
-    if (m.kind == MarkerKind::Enter) {
-      cs.open.push_back(OpenWindow{m.item, m.tsc});
-    } else {
-      // Match the innermost open window for this item; an unmatched
-      // Leave (its Enter was lost) is dropped, as in the batch pairing.
-      for (auto it = cs.open.rbegin(); it != cs.open.rend(); ++it) {
-        if (it->item == m.item) {
-          cs.closed.push_back(
-              CoreState::ClosedWindow{it->item, it->enter, m.tsc});
-          cs.open.erase(std::next(it).base());
-          break;
-        }
-      }
-    }
+    tracker_.push(m, cs.closed);
   }
   for (const PebsSample& s : batch.samples) {
     ++stats_.samples;
@@ -290,9 +268,8 @@ std::vector<WindowResult> StreamingQuery::ingest(const io::TraceData& batch) {
     cs.pending.insert(pos, p);
   }
 
-  for (auto& [core, cs] : cores_) {
-    seal_ready_windows(core, cs, /*force=*/false, out);
-  }
+  stats_.enters_unmatched = tracker_.never_left();
+  for (auto& [core, cs] : cores_) seal_ready_windows(core, cs, out);
 
   std::sort(out.begin(), out.end(),
             [](const WindowResult& a, const WindowResult& b) {
@@ -303,17 +280,12 @@ std::vector<WindowResult> StreamingQuery::ingest(const io::TraceData& batch) {
 
 std::vector<WindowResult> StreamingQuery::flush() {
   std::vector<WindowResult> out;
+  // An Enter still open is never left: it makes no window, and the
+  // windows it held back can seal.
   for (auto& [core, cs] : cores_) {
-    // Still-open windows close at the core watermark: the synthetic
-    // leave the degraded batch pairing would give them.
-    for (const OpenWindow& o : cs.open) {
-      ++stats_.enters_unmatched;
-      cs.closed.push_back(
-          CoreState::ClosedWindow{o.item, o.enter,
-                                  std::max(cs.watermark, o.enter)});
-    }
-    cs.open.clear();
-    seal_ready_windows(core, cs, /*force=*/true, out);
+    tracker_.finish_core(core, 0, cs.closed);
+    stats_.enters_unmatched = tracker_.never_left();
+    seal_ready_windows(core, cs, out);
     stats_.rows_unattributed += cs.pending.size();
     cs.pending.clear();
   }

@@ -6,27 +6,35 @@
 // with the *marker window* (one item's Enter→Leave residence on one core,
 // paper §III-C) as the unit of streaming progress:
 //
-//   * markers open and close per-core item windows incrementally;
-//   * samples buffer per core until the core's watermark (max timestamp
-//     seen on that core) passes a window's leave edge — only then is the
-//     window closed and its samples attributed, so a chunk arriving out
-//     of order between cores can never mis-attribute a row;
-//   * each closed window's rows flow through the pipeline's filter, fold
+//   * markers pair into per-core item windows through the attribution
+//     kernel (core/attribution.hpp), with the batch rule: Enter and Leave
+//     pair per core by item id, and an Enter never left makes no window;
+//   * samples buffer per core; a Leave marker seals its window, and the
+//     window then takes the buffered samples the kernel says it owns —
+//     those it covers that no later-entered window covers. A window a
+//     later-entered, still-open window overlaps waits for that window's
+//     Leave (or for flush()), since the open window may yet own part of
+//     its span;
+//   * each sealed window's rows flow through the pipeline's filter, fold
 //     into running GroupPartial accumulators (partials.hpp — the exact
 //     merge algebra the batch engine uses), and feed the continuously
 //     evaluated `outliers` detector, which raises an alert (and an obs
-//     counter) in the same ingest() call that closed the window — i.e.
-//     within one poll interval of the window closing;
+//     counter) in the same ingest() call that sealed the window;
 //   * snapshot() finishes a *copy* of the partials into a batch-shaped
 //     QueryResult (same columns, same cell values) at any moment.
 //
+// Fed in time order (samples before markers at equal timestamps), the
+// rows and their items are the batch engine's. One limit of sealing on
+// the Leave: an Enter stamped on the same cycle as a Leave but delivered
+// in a later batch cannot claim a sample on that cycle.
+//
 // Windowed dur semantics: a streamed row's dur is the first-to-last
-// sample span of its {item, func} bucket *within its window*, summed over
-// the windows seen so far — for traces where an item's work on a function
-// lands in one window (the common pinned-worker case) this is exactly the
-// batch engine's cross-trace span; when work straddles windows the
-// streamed value is the sum of the per-window spans, which is the only
-// quantity a bounded-memory follower can know without replaying the file.
+// sample span of its {item, func} bucket *within its window*. Where each
+// item has one window per core, the per-window spans summed over an
+// item's windows are exactly the batch engine's dur; when an item's work
+// on a function straddles several windows on one core, the streamed
+// value is the per-window span, which is the only quantity a bounded-
+// memory follower can know without replaying the file.
 #pragma once
 
 #include <array>
@@ -38,6 +46,7 @@
 #include <vector>
 
 #include "fluxtrace/base/symbols.hpp"
+#include "fluxtrace/core/attribution.hpp"
 #include "fluxtrace/core/detector.hpp"
 #include "fluxtrace/io/trace_file.hpp"
 #include "fluxtrace/query/engine.hpp"
@@ -80,7 +89,7 @@ struct StreamStats {
   std::uint64_t rows_matched = 0;
   std::uint64_t rows_unattributed = 0; ///< aged out below any window
   std::uint64_t alerts = 0;
-  std::uint64_t enters_unmatched = 0;  ///< open windows at flush
+  std::uint64_t enters_unmatched = 0;  ///< Enters never left (no window)
 };
 
 struct StreamOptions {
@@ -103,13 +112,13 @@ class StreamingQuery {
   /// columnar build does.
   StreamingQuery(Query q, SymbolTable symtab, StreamOptions opts = {});
 
-  /// Fold one follower batch in. Returns the windows this batch closed,
+  /// Fold one follower batch in. Returns the windows this batch sealed,
   /// in (leave, core) order — alerts ride on their window.
   std::vector<WindowResult> ingest(const io::TraceData& batch);
 
-  /// End of stream: close every still-open window at its core watermark
-  /// (synthetic leave — mirrors windows_from_markers' degraded path) and
-  /// attribute the remaining buffered samples.
+  /// End of stream: an Enter still open makes no window (the batch
+  /// rule), so the windows it held back seal now; samples left over are
+  /// unattributed.
   std::vector<WindowResult> flush();
 
   /// Batch-shaped result from the partials accumulated so far: the same
@@ -122,31 +131,21 @@ class StreamingQuery {
   [[nodiscard]] const SymbolTable& symtab() const { return symtab_; }
 
  private:
-  struct OpenWindow {
-    ItemId item = kNoItem;
-    Tsc enter = 0;
-  };
   struct PendingSample {
     Tsc tsc = 0;
     std::uint64_t ip = 0;
   };
   struct CoreState {
-    std::vector<OpenWindow> open; ///< innermost last (nesting stack)
-    std::deque<PendingSample> pending;
+    std::deque<PendingSample> pending; ///< ascending tsc
+    std::vector<core::TrackedWindow> closed; ///< closed, not yet sealed
     Tsc watermark = 0;
-    /// Closed but not yet sealed: leave edge waits for the watermark.
-    struct ClosedWindow {
-      ItemId item = kNoItem;
-      Tsc enter = 0;
-      Tsc leave = 0;
-    };
-    std::vector<ClosedWindow> closed;
   };
 
-  void seal_ready_windows(std::uint32_t core, CoreState& cs, bool force,
+  /// Seal every closed window on `core` that no open window holds back.
+  void seal_ready_windows(std::uint32_t core, CoreState& cs,
                           std::vector<WindowResult>& out);
-  void emit_window(std::uint32_t core, ItemId item, Tsc enter, Tsc leave,
-                   CoreState& cs, std::vector<WindowResult>& out);
+  void emit_window(const core::TrackedWindow& t, CoreState& cs,
+                   std::vector<WindowResult>& out);
   /// Fold window row `row` (an index into wincols_) into the pipeline
   /// state; the filter has already accepted it.
   void fold_matched(std::size_t row, WindowResult& w);
@@ -155,6 +154,7 @@ class StreamingQuery {
   SymbolTable symtab_;
   StreamOptions opts_;
 
+  core::WindowTracker tracker_;
   std::map<std::uint32_t, CoreState> cores_;
 
   // Running pipeline state (the partials the batch engine would merge).

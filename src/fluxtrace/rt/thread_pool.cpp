@@ -10,7 +10,7 @@ namespace fluxtrace::rt {
 namespace {
 
 // Self-telemetry (ISSUE 3): one set of process-wide pool metrics —
-// pools are created per read_parallel()/integrate() call, so per-pool
+// pools are created per decode or query call, so per-pool
 // metrics would fragment the registry. Resolved once, kept forever.
 struct PoolMetrics {
   obs::Counter& tasks = obs::metrics().counter("rt.pool.tasks_executed");

@@ -2,12 +2,13 @@
 // The deterministic simulator (sim::Machine, rt::ULThread) stays strictly
 // single-threaded; recorded-trace analysis is the one layer that may use
 // real std::threads without perturbing test determinism, and this pool is
-// what it runs on (io::TraceReader::read_parallel, core::ParallelIntegrator).
+// what it runs on (the query engine's chunk decode, block scan and
+// federated fan-out, and the catalog's ingest shards).
 //
 // Design: one deque per worker. submit() distributes round-robin; an idle
 // worker pops its own deque back-to-front (LIFO, cache-warm) and steals
 // from the other deques front-to-back (FIFO, oldest first). Tasks here are
-// multi-millisecond shard decodes and integrations, so the simple
+// multi-millisecond chunk decodes and block scans, so the simple
 // mutex-per-deque arrangement is nowhere near contended.
 #pragma once
 

@@ -23,7 +23,7 @@ TEST(DegradedWindows, BalancedMarkersStayClean) {
       marker(0, 100, 1, MarkerKind::Enter),
       marker(0, 200, 1, MarkerKind::Leave),
   };
-  const auto ws = TraceIntegrator::windows_from_markers_degraded(ms, {});
+  const auto ws = WindowIndex(ms, true).windows();
   ASSERT_EQ(ws.size(), 1u);
   EXPECT_FALSE(ws[0].synthesized());
   EXPECT_EQ(ws[0].enter, 100u);
@@ -36,7 +36,7 @@ TEST(DegradedWindows, LostLeaveClosedAtNextEnter) {
       marker(0, 300, 2, MarkerKind::Enter),
       marker(0, 400, 2, MarkerKind::Leave),
   };
-  const auto ws = TraceIntegrator::windows_from_markers_degraded(ms, {});
+  const auto ws = WindowIndex(ms, true).windows();
   ASSERT_EQ(ws.size(), 2u);
   EXPECT_EQ(ws[0].item, 1u);
   EXPECT_EQ(ws[0].leave, 300u); // bounded by the self-switching invariant
@@ -50,7 +50,7 @@ TEST(DegradedWindows, LostEnterOpensAtPreviousEdge) {
       marker(0, 200, 1, MarkerKind::Leave),
       marker(0, 400, 2, MarkerKind::Leave), // its Enter was lost
   };
-  const auto ws = TraceIntegrator::windows_from_markers_degraded(ms, {});
+  const auto ws = WindowIndex(ms, true).windows();
   ASSERT_EQ(ws.size(), 2u);
   EXPECT_EQ(ws[1].item, 2u);
   EXPECT_EQ(ws[1].enter, 200u); // no earlier than the previous edge
@@ -62,8 +62,7 @@ TEST(DegradedWindows, OpenAtEndClosedAtWatermark) {
   const std::vector<Marker> ms = {
       marker(0, 100, 1, MarkerKind::Enter), // stream ends here
   };
-  const auto ws =
-      TraceIntegrator::windows_from_markers_degraded(ms, {{0u, Tsc{900}}});
+  const auto ws = WindowIndex(ms, true, {{0u, Tsc{900}}}).windows();
   ASSERT_EQ(ws.size(), 1u);
   EXPECT_EQ(ws[0].leave, 900u);
   EXPECT_EQ(ws[0].synth, ItemWindow::kSynthLeave);
@@ -75,7 +74,7 @@ TEST(DegradedWindows, DoubleLossEmitsBothTaggedWindows) {
       marker(0, 100, 1, MarkerKind::Enter),
       marker(0, 500, 2, MarkerKind::Leave),
   };
-  const auto ws = TraceIntegrator::windows_from_markers_degraded(ms, {});
+  const auto ws = WindowIndex(ms, true).windows();
   ASSERT_EQ(ws.size(), 2u);
   EXPECT_EQ(ws[0].item, 1u);
   EXPECT_EQ(ws[0].synth, ItemWindow::kSynthLeave);
@@ -319,6 +318,77 @@ TEST_F(OnlineDegradedFixture, SynthesizesLostLeave) {
   EXPECT_EQ(r1.markers_synthesized, 1u);
   EXPECT_EQ(r1.window, 200u); // closed at item 2's Enter
   EXPECT_FALSE(tracer.recent()[1].degraded());
+}
+
+TEST_F(OnlineDegradedFixture, SynthesizesLostEnter) {
+  // A Leave whose Enter was lost opens at the previous marker edge, as
+  // the batch degraded pairing does, instead of being dropped.
+  OnlineTracerConfig cfg;
+  cfg.synthesize_markers = true;
+  OnlineTracer tracer(symtab, cfg);
+  tracer.on_marker(marker(0, 100, 1, MarkerKind::Enter));
+  tracer.on_marker(marker(0, 200, 1, MarkerKind::Leave));
+  tracer.on_marker(marker(0, 400, 2, MarkerKind::Leave)); // Enter lost
+  tracer.on_sample(sample(300));
+  tracer.finish();
+
+  EXPECT_EQ(tracer.items_completed(), 2u);
+  EXPECT_EQ(tracer.markers_synthesized(), 1u);
+  EXPECT_EQ(tracer.markers_dropped(), 0u);
+  EXPECT_EQ(tracer.samples_unmatched(), 0u);
+  ASSERT_EQ(tracer.recent().size(), 2u);
+  const OnlineResult& r2 = tracer.recent()[1];
+  EXPECT_EQ(r2.item, 2u);
+  EXPECT_EQ(r2.enter, 200u);
+  EXPECT_EQ(r2.window, 200u);
+  EXPECT_EQ(r2.confidence, Confidence::Reconstructed);
+}
+
+TEST_F(OnlineDegradedFixture, LostEnterClaimsSamplesDrainedBeforeItsLeave) {
+  // Item 2's Enter is lost and a drain delivers its sample before its
+  // Leave arrives. With no item open, a Leave still to come may open a
+  // window at item 1's Leave, so the sample waits for the next marker
+  // instead of counting as unmatched.
+  OnlineTracerConfig cfg;
+  cfg.synthesize_markers = true;
+  OnlineTracer tracer(symtab, cfg);
+  tracer.on_marker(marker(0, 100, 1, MarkerKind::Enter));
+  tracer.on_marker(marker(0, 200, 1, MarkerKind::Leave));
+  tracer.on_sample(sample(150));
+  tracer.on_sample(sample(350));
+  tracer.on_marker(marker(0, 400, 2, MarkerKind::Leave)); // Enter lost
+  tracer.finish();
+
+  EXPECT_EQ(tracer.samples_unmatched(), 0u);
+  ASSERT_EQ(tracer.recent().size(), 2u);
+  const OnlineResult& r2 = tracer.recent()[1];
+  EXPECT_EQ(r2.item, 2u);
+  EXPECT_EQ(r2.enter, 200u);
+  EXPECT_EQ(r2.leave, 400u);
+  EXPECT_EQ(r2.confidence, Confidence::Reconstructed);
+}
+
+TEST_F(OnlineDegradedFixture, SampleOnALeaveEdgeHoldsBackItsItem) {
+  // A sample on item 1's Leave edge waits for the next marker (a Leave
+  // with a lost Enter would take it), and item 1 is not finalized while
+  // it waits: here an Enter comes next, so the sample is item 1's.
+  OnlineTracerConfig cfg;
+  cfg.synthesize_markers = true;
+  OnlineTracer tracer(symtab, cfg);
+  tracer.on_marker(marker(0, 100, 1, MarkerKind::Enter));
+  tracer.on_marker(marker(0, 200, 1, MarkerKind::Leave));
+  tracer.on_sample(sample(150));
+  tracer.on_sample(sample(200)); // on the Leave edge
+  tracer.on_sample(sample(250)); // past item 1
+  EXPECT_EQ(tracer.items_completed(), 0u);
+  tracer.on_marker(marker(0, 300, 2, MarkerKind::Enter));
+  tracer.on_marker(marker(0, 400, 2, MarkerKind::Leave));
+  tracer.finish();
+
+  EXPECT_EQ(tracer.samples_unmatched(), 1u); // 250, between the items
+  ASSERT_EQ(tracer.recent().size(), 2u);
+  EXPECT_EQ(tracer.recent()[0].item, 1u);
+  EXPECT_EQ(tracer.recent()[0].elapsed(fa), 50u);
 }
 
 TEST_F(OnlineDegradedFixture, OpenItemAtFinishClosesAtWatermark) {

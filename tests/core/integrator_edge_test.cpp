@@ -56,7 +56,7 @@ TEST_F(EdgeFixture, DuplicateEnterLeavePairsForSameItem) {
 TEST_F(EdgeFixture, LeaveBeforeEnterTimestampsProduceNoWindow) {
   // A corrupt stream where the pair's timestamps are inverted after a
   // partial dump: pairing is positional per id, so the "window" would be
-  // negative — windows_from_markers pairs Enter→Leave in arrival order,
+  // negative — WindowIndex pairs Enter→Leave in arrival order,
   // and the inverted pair yields leave < enter; the integrator must not
   // attribute anything to it.
   const std::vector<Marker> ms = {
@@ -75,7 +75,7 @@ TEST_F(EdgeFixture, LeaveBeforeEnterTimestampsProduceNoWindow) {
 TEST_F(EdgeFixture, InterleavedItemsOnOneCoreSelfSwitchingStyle) {
   // a enters, a leaves, b enters, b leaves with zero gaps: boundary
   // samples at the exact switch go to the window whose edge they touch
-  // (enter of the later window wins via innermost-cover).
+  // (the later-entered window wins: the latest-entered cover).
   const std::vector<Marker> ms = {
       Marker{100, 1, 0, MarkerKind::Enter},
       Marker{200, 1, 0, MarkerKind::Leave},

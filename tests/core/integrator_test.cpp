@@ -34,7 +34,7 @@ TEST_F(IntegratorFixture, WindowsFromBalancedMarkers) {
       marker(0, 300, 2, MarkerKind::Enter),
       marker(0, 450, 2, MarkerKind::Leave),
   };
-  const auto ws = TraceIntegrator::windows_from_markers(ms);
+  const auto ws = WindowIndex(ms).windows();
   ASSERT_EQ(ws.size(), 2u);
   EXPECT_EQ(ws[0].item, 1u);
   EXPECT_EQ(ws[0].enter, 100u);
@@ -50,7 +50,7 @@ TEST_F(IntegratorFixture, MalformedMarkersAreDropped) {
       marker(0, 200, 2, MarkerKind::Leave),
       marker(0, 300, 3, MarkerKind::Enter),  // Enter without Leave at end
   };
-  const auto ws = TraceIntegrator::windows_from_markers(ms);
+  const auto ws = WindowIndex(ms).windows();
   ASSERT_EQ(ws.size(), 1u);
   EXPECT_EQ(ws[0].item, 2u);
 }
@@ -62,7 +62,7 @@ TEST_F(IntegratorFixture, WindowsPerCoreAreIndependent) {
       marker(1, 180, 1, MarkerKind::Leave),
       marker(0, 200, 1, MarkerKind::Leave),
   };
-  const auto ws = TraceIntegrator::windows_from_markers(ms);
+  const auto ws = WindowIndex(ms).windows();
   EXPECT_EQ(ws.size(), 2u);
 }
 
@@ -164,7 +164,7 @@ TEST_F(IntegratorFixture, RegisterModeIgnoresWindows) {
   idle.regs.set(kItemIdReg, kNoItem);
   ss.push_back(idle);
 
-  TraceIntegrator integ(symtab, IntegratorConfig{true, kItemIdReg});
+  TraceIntegrator integ(symtab, IntegratorConfig{true});
   const TraceTable t = integ.integrate({}, ss);
   EXPECT_EQ(t.elapsed(42, fa), 100u);
   EXPECT_EQ(t.unmatched_item(), 1u);

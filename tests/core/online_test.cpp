@@ -177,6 +177,65 @@ TEST_F(OnlineFixture, MalformedMarkersDropped) {
   EXPECT_EQ(ot.markers_dropped(), 3u);
 }
 
+TEST_F(OnlineFixture, NestedEnterKeepsTheOpenItem) {
+  // An Enter while another item is open does not drop that item: windows
+  // pair by item id, and a sample belongs to the latest-entered window
+  // covering it — the batch rule.
+  OnlineTracer ot(symtab);
+  ot.on_marker(enter(100, 1));
+  ot.on_marker(enter(150, 2));
+  ot.on_marker(leave(250, 2));
+  ot.on_marker(leave(400, 1));
+  ot.on_sample(sample(120, fa)); // item 1
+  ot.on_sample(sample(200, fb)); // item 2, nested
+  ot.on_sample(sample(240, fb)); // item 2
+  ot.on_sample(sample(300, fa)); // item 1 again
+  ot.on_sample(sample(500, fa)); // past both windows
+  EXPECT_EQ(ot.items_completed(), 2u);
+  EXPECT_EQ(ot.markers_dropped(), 0u);
+  EXPECT_EQ(ot.samples_unmatched(), 1u);
+  for (const OnlineResult& r : ot.recent()) {
+    if (r.item == 1) {
+      EXPECT_EQ(r.elapsed(fa), 180u);
+      EXPECT_EQ(r.elapsed(fb), 0u);
+    } else {
+      EXPECT_EQ(r.item, 2u);
+      EXPECT_EQ(r.elapsed(fb), 40u);
+    }
+  }
+}
+
+TEST_F(OnlineFixture, SamplesHeldBehindAnEnterNeverLeftCountInBacklog) {
+  // Item 1's Leave never comes. Until the end, every sample between the
+  // windows after it waits on item 1; the backlog counts them, so the
+  // shed trigger (and a session supervisor) sees the pile-up.
+  OnlineTracerConfig cfg;
+  cfg.shed_backlog = 16;
+  OnlineTracer ot(symtab, cfg);
+  std::vector<std::size_t> shed;
+  ot.set_shed_callback(
+      [&](std::uint32_t, std::size_t backlog) { shed.push_back(backlog); });
+  ot.on_marker(enter(100, 1));
+  Tsc t = 200;
+  for (ItemId id = 2; id <= 41; ++id) {
+    ot.on_marker(enter(t, id));
+    ot.on_marker(leave(t + 50, id));
+    ot.on_sample(sample(t + 10, fa)); // inside item id
+    ot.on_sample(sample(t + 70, fa)); // between windows: held
+    t += 100;
+  }
+  EXPECT_EQ(ot.items_completed(), 40u);
+  EXPECT_EQ(ot.backlog(0), 41u); // item 1's open window + 40 held samples
+  EXPECT_EQ(ot.max_backlog(), 41u);
+  ASSERT_EQ(shed.size(), 1u);
+  EXPECT_EQ(shed[0], 16u);
+
+  ot.finish(); // item 1 makes no window; its held samples match nothing
+  EXPECT_EQ(ot.backlog(0), 0u);
+  EXPECT_EQ(ot.samples_unmatched(), 40u);
+  EXPECT_EQ(ot.markers_dropped(), 1u);
+}
+
 TEST_F(OnlineFixture, CoresAreIndependent) {
   OnlineTracer ot(symtab);
   ot.on_marker(enter(100, 1, 0));

@@ -99,16 +99,20 @@ TEST(BTree, ScanPastEndTruncates) {
 }
 
 // Property test: random operations against a std::map oracle.
+// gtest prints a param's raw bytes into the ctest case name, so the struct
+// must have no padding: `pad` keeps the tail bytes zero instead of garbage.
 struct OracleParam {
   std::uint64_t seed;
   std::uint32_t order;
+  std::uint32_t pad = 0;
 };
+static_assert(sizeof(OracleParam) == 16);
 
 class BTreeOracleTest : public ::testing::TestWithParam<OracleParam> {};
 
 TEST_P(BTreeOracleTest, MatchesMapOracle) {
-  const auto [seed, order] = GetParam();
-  std::uint64_t state = seed;
+  const std::uint32_t order = GetParam().order;
+  std::uint64_t state = GetParam().seed;
   auto rnd = [&state]() {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
     return state >> 17;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_dir.hpp"
+
 #include <fstream>
 #include <set>
 
@@ -17,6 +19,7 @@
 #include "fluxtrace/io/chunked.hpp"
 #include "fluxtrace/io/trace_reader.hpp"
 #include "fluxtrace/io/v3.hpp"
+#include "fluxtrace/obs/metrics.hpp"
 #include "fluxtrace/query/flxi.hpp"
 
 namespace fluxtrace::hub {
@@ -61,8 +64,7 @@ Session make_session(std::size_t base_item, std::size_t n_items,
 struct CatalogFixture : ::testing::Test {
   void SetUp() override {
     static int n = 0;
-    dir = ::testing::TempDir() + "/hub_cat_" + std::to_string(::getpid()) +
-          "_" + std::to_string(n++);
+    dir = test::private_dir() + "/hub_cat_" + std::to_string(n++);
     ::mkdir(dir.c_str(), 0755);
     symtab = make_session(0, 1).symtab; // shared symbol universe
   }
@@ -126,6 +128,20 @@ TEST_F(CatalogFixture, IngestRegistersCleanTracesWithSidecars) {
     struct stat st{};
     EXPECT_EQ(::stat(query::flxi_path(path).c_str(), &st), 0) << path;
   }
+}
+
+TEST_F(CatalogFixture, SingleThreadIngestRunsNoPoolTasks) {
+  // threads = 1 covers the sidecar rebuild too: a multi-chunk member
+  // must decode on the calling thread, not on a hardware-sized pool.
+  const std::string path = write_session("a.flxt", 0, 16); // 96 samples
+  ASSERT_GT(io::index_trace_v2(io::open_trace(path).bytes()).size(), 4u);
+  Catalog cat = Catalog::open(dir, symtab, opts());
+  const obs::Counter& tasks = obs::metrics().counter("rt.pool.tasks_executed");
+  const std::uint64_t before = tasks.value();
+  const IngestReport rep = cat.ingest();
+  EXPECT_EQ(rep.registered, 1u);
+  EXPECT_TRUE(cat.manifest().entries().at(path).sidecar);
+  EXPECT_EQ(tasks.value(), before);
 }
 
 TEST_F(CatalogFixture, DoubleIngestIsIdempotent) {

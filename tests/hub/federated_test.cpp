@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_dir.hpp"
+
 #include <fstream>
 #include <sstream>
 
@@ -71,9 +73,8 @@ Fleet make_fleet(const std::string& dir, std::size_t n_members,
 
 std::string fresh_dir(const char* tag) {
   static int n = 0;
-  const std::string dir = ::testing::TempDir() + "/fed_" + tag + "_" +
-                          std::to_string(::getpid()) + "_" +
-                          std::to_string(n++);
+  const std::string dir =
+      test::private_dir() + "/fed_" + tag + "_" + std::to_string(n++);
   ::mkdir(dir.c_str(), 0755);
   return dir;
 }

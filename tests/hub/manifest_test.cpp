@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_dir.hpp"
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -17,8 +19,8 @@ namespace {
 
 std::string unique_path(const char* tag) {
   static int n = 0;
-  return ::testing::TempDir() + "/manifest_" + tag + "_" +
-         std::to_string(::getpid()) + "_" + std::to_string(n++) + ".flxh";
+  return test::private_dir() + "/manifest_" + tag + "_" +
+         std::to_string(n++) + ".flxh";
 }
 
 TraceEntry entry(const std::string& path, TraceState state = TraceState::Ok,

@@ -138,8 +138,7 @@ TEST(QueryAppIntegration, BoundedCacheEvictsAndColdPathsRecur) {
   // Every repeat stays slow: the LRU can never hold the whole working
   // set (chunk 0 is always the victim by the time it is needed again...
   // sequential access + LRU = worst case).
-  const auto windows = core::TraceIntegrator::windows_from_markers(
-      m.marker_log().markers());
+  const auto windows = core::WindowIndex(m.marker_log().markers()).windows();
   ASSERT_EQ(windows.size(), 12u);
   Tsc late_min = ~Tsc{0};
   for (std::size_t i = 6; i < windows.size(); ++i) {
@@ -152,8 +151,7 @@ TEST(QueryAppIntegration, BoundedCacheEvictsAndColdPathsRecur) {
   unbounded.submit(queries);
   unbounded.attach(m2, 0, 1);
   m2.run();
-  const auto w2 = core::TraceIntegrator::windows_from_markers(
-      m2.marker_log().markers());
+  const auto w2 = core::WindowIndex(m2.marker_log().markers()).windows();
   EXPECT_GT(late_min, 5 * w2.back().length())
       << "bounded-cache repeats stay cold; unbounded repeats are warm";
 }

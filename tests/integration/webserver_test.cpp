@@ -77,8 +77,7 @@ TEST(WebServerModel, JitterVariesRequestsButProfileCannotSeeIt) {
   // Two runs are deterministic; within a run, requests differ (jitter) —
   // which the averaged profile hides. Verify via instrumented windows.
   WebRun run(200, /*instrument=*/true);
-  const auto windows = core::TraceIntegrator::windows_from_markers(
-      run.machine->marker_log().markers());
+  const auto windows = core::WindowIndex(run.machine->marker_log().markers()).windows();
   ASSERT_EQ(windows.size(), 200u);
   Tsc min_w = ~Tsc{0}, max_w = 0;
   for (const auto& w : windows) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_dir.hpp"
+
 #include <sstream>
 
 // These tests deliberately exercise the legacy read_trace() dispatch,
@@ -84,7 +86,7 @@ TEST(ChunkedTrace, RoundTripAtVariousChunkSizes) {
 
 TEST(ChunkedTrace, SaveAndLoadFile) {
   const TraceData d = sample_data(30, 80);
-  const std::string path = ::testing::TempDir() + "/flxt_v2_test.trace";
+  const std::string path = test::private_dir() + "/flxt_v2_test.trace";
   save_trace_v2(path, d);
   const SalvageReport rep = salvage_trace_file(path);
   EXPECT_TRUE(rep.clean());

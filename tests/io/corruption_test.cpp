@@ -5,6 +5,8 @@
 // checksums, which only the v2 chunked container has.)
 #include <gtest/gtest.h>
 
+#include "test_dir.hpp"
+
 #include <sstream>
 
 #include "fluxtrace/io/compact.hpp"
@@ -158,7 +160,7 @@ TEST(TraceCorruption, PathErrorsCarryContext) {
 
 TEST(TraceCorruption, CompactSaveLoadRoundTrip) {
   const TraceData d = small_data(11);
-  const std::string path = ::testing::TempDir() + "/flxz_test.flxz";
+  const std::string path = test::private_dir() + "/flxz_test.flxz";
   save_compact(path, d);
   const TraceData back = load_compact(path);
   // Compact is lossy in GPRs other than R13 and re-sorts by (core, tsc);

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_dir.hpp"
+
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -67,7 +69,7 @@ void append_file(const std::string& path, const std::string& bytes) {
 }
 
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return test::private_dir() + "/" + name;
 }
 
 /// Poll until finished or `max` polls, stepping the virtual clock.

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_dir.hpp"
+
 #include <unistd.h>
 
 #include <cstdio>
@@ -44,7 +46,7 @@ void write_file(const std::string& path, const std::string& bytes) {
 }
 
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return test::private_dir() + "/" + name;
 }
 
 std::string v2_file(const std::string& path, const TraceData& d,

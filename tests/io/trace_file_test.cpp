@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_dir.hpp"
+
 #include <sstream>
 
 // These tests deliberately exercise the legacy read_trace()/load_trace()
@@ -119,7 +121,7 @@ TEST(TraceFile, RejectsInsaneCounts) {
 
 TEST(TraceFile, SaveAndLoadFile) {
   const TraceData d = sample_data(20, 100);
-  const std::string path = ::testing::TempDir() + "/flxt_test.trace";
+  const std::string path = test::private_dir() + "/flxt_test.trace";
   save_trace(path, d);
   EXPECT_EQ(load_trace(path), d);
 }

@@ -1,11 +1,13 @@
 // io::TraceReader facade: autodetection across all three containers,
-// parallel == sequential reads, salvage behaviour per format, and the
+// salvage behaviour per format, and the
 // hostile-input contract — arbitrary bytes may fail read() with
 // TraceIoError but must never crash, and salvage() never throws on
 // content at all.
 #include "fluxtrace/io/trace_reader.hpp"
 
 #include <gtest/gtest.h>
+
+#include "test_dir.hpp"
 
 #include <fstream>
 #include <sstream>
@@ -94,7 +96,7 @@ TEST(TraceReader, FormatNames) {
 
 TEST(TraceReader, OpensFromFile) {
   const TraceData d = sample_data(10, 40);
-  const std::string path = ::testing::TempDir() + "/reader_test.flxt";
+  const std::string path = test::private_dir() + "/reader_test.flxt";
   save_trace(path, d);
   const TraceReader r = open_trace(path);
   EXPECT_EQ(r.format(), TraceFormat::FlxtV1);
@@ -114,7 +116,7 @@ TEST(TraceReader, MissingFileThrowsWithPath) {
 }
 
 TEST(TraceReader, FileReadErrorsCarryThePath) {
-  const std::string path = ::testing::TempDir() + "/reader_garbage.bin";
+  const std::string path = test::private_dir() + "/reader_garbage.bin";
   {
     std::ofstream os(path, std::ios::binary);
     os << std::string(64, '\x11');
@@ -125,53 +127,6 @@ TEST(TraceReader, FileReadErrorsCarryThePath) {
   } catch (const TraceIoError& e) {
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
   }
-}
-
-// --- parallel == sequential -------------------------------------------
-
-TEST(TraceReader, ParallelReadMatchesSequentialV1) {
-  const TraceData d = sample_data(500, 3000, 7);
-  const TraceReader r = open_trace_bytes(v1_bytes(d));
-  for (const unsigned n : {0u, 1u, 2u, 4u}) {
-    EXPECT_EQ(r.read_parallel(n), d) << "threads=" << n;
-  }
-}
-
-TEST(TraceReader, ParallelReadMatchesSequentialV2) {
-  const TraceData d = sample_data(500, 3000, 8);
-  // Small chunks so the parallel path actually fans out.
-  const TraceReader r = open_trace_bytes(v2_bytes(d, 128));
-  for (const unsigned n : {0u, 1u, 2u, 4u}) {
-    EXPECT_EQ(r.read_parallel(n), d) << "threads=" << n;
-  }
-}
-
-TEST(TraceReader, ParallelReadFallsBackForFlxz) {
-  const TraceData d = sample_data(50, 200, 9);
-  const TraceReader r = open_trace_bytes(flxz_bytes(d));
-  EXPECT_EQ(r.read_parallel(4), r.read());
-}
-
-TEST(TraceReader, ParallelReadOfDamagedV2ThrowsLikeSequential) {
-  const TraceData d = sample_data(100, 400, 10);
-  std::string bytes = v2_bytes(d, 32);
-  bytes[bytes.size() / 2] ^= 0x40; // flip a payload byte mid-file
-  const TraceReader r = open_trace_bytes(bytes);
-  std::string seq_err;
-  std::string par_err;
-  try {
-    (void)r.read();
-  } catch (const TraceIoError& e) {
-    seq_err = e.what();
-  }
-  try {
-    (void)r.read_parallel(4);
-  } catch (const TraceIoError& e) {
-    par_err = e.what();
-  }
-  ASSERT_FALSE(seq_err.empty());
-  EXPECT_EQ(par_err, seq_err) << "damage diagnostics must not depend on the "
-                                 "thread count";
 }
 
 // --- salvage ----------------------------------------------------------
@@ -260,10 +215,6 @@ TEST(TraceReader, HostileInputsThrowButNeverCrash) {
       // the contract is "throw TraceIoError or parse", never crash.
     } catch (const TraceIoError&) {
       // expected for most inputs
-    }
-    try {
-      (void)r.read_parallel(4);
-    } catch (const TraceIoError&) {
     }
     EXPECT_NO_THROW((void)r.salvage()) << "salvage must not throw, input " << i;
   }

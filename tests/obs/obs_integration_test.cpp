@@ -78,37 +78,10 @@ TEST(ObsIntegration, TraceReaderCountsReadsBytesAndChunks) {
 
   const std::uint64_t reads_before = counter_value("io.reads");
   const std::uint64_t bytes_before = counter_value("io.bytes_decoded");
-  const std::uint64_t chunks_before = counter_value("io.v2.chunks_decoded");
   const io::TraceData rt = io::open_trace_bytes(std::string(bytes)).read();
   EXPECT_EQ(rt, d);
   EXPECT_EQ(counter_value("io.reads") - reads_before, 1u);
   EXPECT_EQ(counter_value("io.bytes_decoded") - bytes_before, bytes.size());
-  // Sequential read never takes the parallel chunk path.
-  EXPECT_EQ(counter_value("io.v2.chunks_decoded"), chunks_before);
-
-  const io::TraceData par =
-      io::open_trace_bytes(std::string(bytes)).read_parallel(2);
-  EXPECT_EQ(par, d);
-  EXPECT_EQ(counter_value("io.reads") - reads_before, 2u);
-  // 8 markers / 4 per chunk + 12 samples / 4 per chunk = 2 + 3 chunks.
-  EXPECT_EQ(counter_value("io.v2.chunks_decoded") - chunks_before, 5u);
-}
-
-TEST(ObsIntegration, CorruptParallelReadCountsFallback) {
-  const io::TraceData d = tiny_trace();
-  std::ostringstream os;
-  io::write_trace_v2(os, d, /*records_per_chunk=*/4);
-  std::string bytes = std::move(os).str();
-  bytes.resize(bytes.size() - 1); // torn eof chunk -> index pass bails
-
-  const std::uint64_t fb_before = counter_value("io.v2.parallel_fallbacks");
-  try {
-    (void)io::open_trace_bytes(std::move(bytes)).read_parallel(2);
-  } catch (const io::TraceIoError&) {
-    // the strict sequential parser may reject the torn file; the
-    // fallback was still taken first
-  }
-  EXPECT_EQ(counter_value("io.v2.parallel_fallbacks") - fb_before, 1u);
 }
 
 TEST(ObsIntegration, IntegratorCountsItems) {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_dir.hpp"
+
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -297,7 +299,7 @@ TEST(QueryEngineTest, ParallelScanBitIdenticalToSequentialFuzzed) {
 struct FlxiFixture : ::testing::Test {
   void SetUp() override {
     w = make_workload(16, 8, 3);
-    path = ::testing::TempDir() + "/query_engine_test.flxt";
+    path = test::private_dir() + "/query_engine_test.flxt";
     io::save_trace_v2(path, w.data, /*records_per_chunk=*/16);
     std::remove(flxi_path(path).c_str());
   }
@@ -452,7 +454,7 @@ TEST_F(FlxiFixture, AttributionModeMismatchInvalidatesSidecar) {
 
 TEST(QueryEngineTest, SalvagedTraceStillAnswers) {
   const Workload w = make_workload(8, 8, 5);
-  const std::string path = ::testing::TempDir() + "/query_torn.flxt";
+  const std::string path = test::private_dir() + "/query_torn.flxt";
   io::save_trace_v2(path, w.data, 8);
   std::string bytes;
   {
@@ -478,7 +480,7 @@ TEST(QueryEngineTest, SalvagedTraceStillAnswers) {
 
 TEST(ColumnarOpenTest, OpenComposesReadAndBuild) {
   const Workload w = make_workload(4, 6);
-  const std::string path = ::testing::TempDir() + "/columnar_open.flxt";
+  const std::string path = test::private_dir() + "/columnar_open.flxt";
   io::save_trace_v2(path, w.data, 16);
   const ColumnarTrace t = ColumnarTrace::open(path, w.symtab);
   const ColumnarTrace ref = ColumnarTrace::build(w.data, w.symtab);
@@ -498,7 +500,7 @@ TEST(ColumnarOpenTest, OpenComposesReadAndBuild) {
 
 TEST(ColumnarOpenTest, OpenSalvagesDamagedFiles) {
   const Workload w = make_workload(8, 8, 9);
-  const std::string path = ::testing::TempDir() + "/columnar_open_torn.flxt";
+  const std::string path = test::private_dir() + "/columnar_open_torn.flxt";
   io::save_trace_v2(path, w.data, 8);
   std::string bytes;
   {
@@ -520,7 +522,7 @@ TEST(ColumnarOpenTest, OpenSalvagesDamagedFiles) {
 
 TEST(QueryEngineTest, V1TracesQueryWithoutChunkStats) {
   const Workload w = make_workload(4, 6);
-  const std::string path = ::testing::TempDir() + "/query_v1.flxt";
+  const std::string path = test::private_dir() + "/query_v1.flxt";
   io::save_trace(path, w.data);
   QueryEngine eng = QueryEngine::open(path, w.symtab);
   const QueryResult res = eng.run("group item: count");

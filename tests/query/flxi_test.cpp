@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_dir.hpp"
+
 #include <cstdio>
 #include <fstream>
 
@@ -181,7 +183,7 @@ TEST(Flxi, UnknownFlagBitsAreRejected) {
 }
 
 TEST(Flxi, SaveLoadRoundTripAndMissingFile) {
-  const std::string path = ::testing::TempDir() + "/flxi_test.flxi";
+  const std::string path = test::private_dir() + "/flxi_test.flxi";
   const FlxiIndex idx = sample_index();
   ASSERT_TRUE(save_flxi(path, idx));
   const auto back = load_flxi(path);
@@ -194,7 +196,7 @@ TEST(Flxi, SaveLoadRoundTripAndMissingFile) {
 }
 
 TEST(Flxi, DamagedFileLoadsAsNullopt) {
-  const std::string path = ::testing::TempDir() + "/flxi_damaged.flxi";
+  const std::string path = test::private_dir() + "/flxi_damaged.flxi";
   {
     std::ofstream os(path, std::ios::binary);
     os << "FLXI" << std::string(40, '\x3c');

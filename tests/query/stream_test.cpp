@@ -269,7 +269,9 @@ TEST(StreamingQuery, OutOfOrderSamplesWaitForWatermark) {
   EXPECT_EQ(w3[0].rows, 1u) << "the buffered sample attributed at seal";
 }
 
-TEST(StreamingQuery, FlushClosesOpenWindowsAtWatermark) {
+TEST(StreamingQuery, FlushDropsAnEnterNeverLeft) {
+  // The batch rule: an Enter that is never left makes no window, so its
+  // samples end unattributed instead of closing at the watermark.
   SymbolTable symtab;
   const SymbolId fn = symtab.add("f", 0x100);
   StreamingQuery sq(parse_query("group item: count", &symtab), symtab);
@@ -285,12 +287,44 @@ TEST(StreamingQuery, FlushClosesOpenWindowsAtWatermark) {
   }
   EXPECT_TRUE(sq.ingest(b).empty());
 
-  const auto windows = sq.flush();
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_EQ(windows[0].item, 9u);
-  EXPECT_EQ(windows[0].rows, 3u);
+  EXPECT_TRUE(sq.flush().empty());
   EXPECT_EQ(sq.stats().enters_unmatched, 1u);
-  EXPECT_EQ(sq.stats().windows_closed, 1u);
+  EXPECT_EQ(sq.stats().windows_closed, 0u);
+  EXPECT_EQ(sq.stats().rows_unattributed, 3u);
+}
+
+TEST(StreamingQuery, LeavePairsByItemNotByNesting) {
+  // Enter 1, Enter 2, Leave 1, Leave 2 on one core: the Leaves pair with
+  // their own items' Enters, and the overlap [200, 300] belongs to the
+  // later-entered item 2. Item 1 seals only once item 2 has left — until
+  // then item 2 may yet own part of item 1's span.
+  SymbolTable symtab;
+  const SymbolId fn = symtab.add("f", 0x100);
+  StreamingQuery sq(parse_query("group item: count", &symtab), symtab);
+  const auto sample = [&](Tsc t) {
+    PebsSample s;
+    s.tsc = t;
+    s.core = 0;
+    s.ip = symtab.ip_at(fn, 0.5);
+    return s;
+  };
+
+  io::TraceData b1;
+  b1.markers.push_back({100, 1, 0, MarkerKind::Enter});
+  b1.markers.push_back({200, 2, 0, MarkerKind::Enter});
+  b1.samples = {sample(150), sample(250)};
+  b1.markers.push_back({300, 1, 0, MarkerKind::Leave});
+  EXPECT_TRUE(sq.ingest(b1).empty()) << "item 2 is still open";
+
+  io::TraceData b2;
+  b2.samples = {sample(350)};
+  b2.markers.push_back({400, 2, 0, MarkerKind::Leave});
+  const auto ws = sq.ingest(b2);
+  ASSERT_EQ(ws.size(), 2u);
+  EXPECT_EQ(ws[0].item, 1u);
+  EXPECT_EQ(ws[0].rows, 1u); // 150
+  EXPECT_EQ(ws[1].item, 2u);
+  EXPECT_EQ(ws[1].rows, 2u); // 250 and 350
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_dir.hpp"
+
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -69,9 +71,8 @@ Workload make_workload(std::size_t n_items, std::uint64_t seed = 1) {
 
 std::string fresh_dir(const char* tag) {
   static int n = 0;
-  const std::string dir = ::testing::TempDir() + "/v3q_" + tag + "_" +
-                          std::to_string(::getpid()) + "_" +
-                          std::to_string(n++);
+  const std::string dir =
+      test::private_dir() + "/v3q_" + tag + "_" + std::to_string(n++);
   ::mkdir(dir.c_str(), 0755);
   return dir;
 }

@@ -1,5 +1,5 @@
-// rt::ThreadPool: the work-stealing pool under ParallelIntegrator and
-// the parallel trace decoders. The contract under test: every submitted
+// rt::ThreadPool: the work-stealing pool under the query engine's chunk
+// decode, block scan and federated fan-out. The contract under test: every submitted
 // task runs exactly once, results and exceptions travel through the
 // futures, parallel_for covers every index, and destruction drains the
 // queue instead of dropping work.

@@ -3,6 +3,8 @@
 // output. Tool paths come from the build system (FLXT_TOOL_DIR).
 #include <gtest/gtest.h>
 
+#include "test_dir.hpp"
+
 #include <array>
 #include <cstdio>
 #include <string>
@@ -43,18 +45,17 @@ std::string run_capture(const std::string& cmd, int* rc) {
 /// stateful, so hub tests must not inherit a previous run's manifest.
 std::string fresh_dir(const char* tag) {
   static int n = 0;
-  const std::string dir = ::testing::TempDir() + "/tools_" + tag + "_" +
-                          std::to_string(::getpid()) + "_" +
-                          std::to_string(n++);
+  const std::string dir =
+      test::private_dir() + "/tools_" + tag + "_" + std::to_string(n++);
   ::mkdir(dir.c_str(), 0755);
   return dir;
 }
 
 struct ToolsFixture : ::testing::Test {
   static void SetUpTestSuite() {
-    trace_path = ::testing::TempDir() + "/tools_smoke.flxt";
-    syms_path = ::testing::TempDir() + "/tools_smoke.syms";
-    compact_path = ::testing::TempDir() + "/tools_smoke.flxz";
+    trace_path = test::private_dir() + "/tools_smoke.flxt";
+    syms_path = test::private_dir() + "/tools_smoke.syms";
+    compact_path = test::private_dir() + "/tools_smoke.flxz";
 
     SymbolTable symtab;
     apps::QueryCacheApp app(symtab);
@@ -148,7 +149,7 @@ TEST_F(ToolsFixture, ConvertRoundTrip) {
                   " --to-compact",
               &rc);
   EXPECT_EQ(rc, 0);
-  const std::string back_path = ::testing::TempDir() + "/tools_smoke_back.flxt";
+  const std::string back_path = test::private_dir() + "/tools_smoke_back.flxt";
   run_capture(tool("flxt_convert") + " " + compact_path + " " + back_path +
                   " --to-full",
               &rc);
@@ -159,7 +160,7 @@ TEST_F(ToolsFixture, ConvertRoundTrip) {
 
 TEST_F(ToolsFixture, ConvertToV2RoundTrip) {
   int rc = -1;
-  const std::string v2_path = ::testing::TempDir() + "/tools_smoke_conv.flxt2";
+  const std::string v2_path = test::private_dir() + "/tools_smoke_conv.flxt2";
   run_capture(tool("flxt_convert") + " " + trace_path + " " + v2_path +
                   " --to-v2",
               &rc);
@@ -199,7 +200,7 @@ TEST_F(ToolsFixture, InvalidFlagValuesRejectedWithUsage) {
 }
 
 TEST_F(ToolsFixture, ToolsSurviveGarbageInputFiles) {
-  const std::string garbage = ::testing::TempDir() + "/tools_garbage.bin";
+  const std::string garbage = test::private_dir() + "/tools_garbage.bin";
   {
     std::ofstream os(garbage, std::ios::binary);
     os << std::string(512, '\x5a');
@@ -227,24 +228,6 @@ TEST_F(ToolsFixture, ReportDegradedModeAddsConfidence) {
   EXPECT_NE(out.find("degraded items"), std::string::npos) << out;
 }
 
-TEST_F(ToolsFixture, ReportThreadsFlagMatchesSequentialOutput) {
-  // --threads must never change what the analysis prints.
-  int rc = -1;
-  const std::string seq = run_capture(
-      tool("flxt_report") + " " + trace_path + " " + syms_path, &rc);
-  EXPECT_EQ(rc, 0) << seq;
-  const std::string par = run_capture(
-      tool("flxt_report") + " " + trace_path + " " + syms_path +
-          " --threads 4",
-      &rc);
-  EXPECT_EQ(rc, 0) << par;
-  EXPECT_EQ(seq, par);
-  const std::string dump = run_capture(
-      tool("flxt_dump") + " " + trace_path + " --threads 4", &rc);
-  EXPECT_EQ(rc, 0) << dump;
-  EXPECT_NE(dump.find("20 markers"), std::string::npos) << dump;
-}
-
 TEST_F(ToolsFixture, DumpPrintsSummaryFooter) {
   int rc = -1;
   const std::string out =
@@ -261,10 +244,10 @@ TEST_F(ToolsFixture, DumpPrintsSummaryFooter) {
 }
 
 TEST_F(ToolsFixture, TelemetryFlagWritesChromeTraceJson) {
-  const std::string tel_path = ::testing::TempDir() + "/tools_smoke_tel.json";
+  const std::string tel_path = test::private_dir() + "/tools_smoke_tel.json";
   int rc = -1;
   const std::string out = run_capture(tool("flxt_report") + " " + trace_path +
-                                          " " + syms_path + " --threads 2" +
+                                          " " + syms_path +
                                           " --telemetry " + tel_path +
                                           " --metrics",
                                       &rc);
@@ -272,7 +255,7 @@ TEST_F(ToolsFixture, TelemetryFlagWritesChromeTraceJson) {
   // --metrics dumps the registry as Prometheus text on stderr.
   EXPECT_NE(out.find("# TYPE fluxtrace_io_reads counter"), std::string::npos)
       << out;
-  EXPECT_NE(out.find("fluxtrace_rt_pool_tasks_executed"), std::string::npos)
+  EXPECT_NE(out.find("fluxtrace_core_integrate_items"), std::string::npos)
       << out;
 
   std::ifstream is(tel_path);
@@ -285,7 +268,7 @@ TEST_F(ToolsFixture, TelemetryFlagWritesChromeTraceJson) {
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"B\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"ph\":\"E\""), std::string::npos);
-  EXPECT_NE(json.find("io.read_parallel"), std::string::npos) << json;
+  EXPECT_NE(json.find("io.read"), std::string::npos) << json;
   EXPECT_NE(json.find("core.integrate"), std::string::npos) << json;
 }
 
@@ -302,7 +285,7 @@ TEST_F(ToolsFixture, TelemetryToUnwritablePathFails) {
 TEST_F(ToolsFixture, RecoverSalvagesATruncatedV2File) {
   // Write a v2 trace, tear off the tail, and recover it.
   const io::TraceData full = io::open_trace(trace_path).read();
-  const std::string v2_path = ::testing::TempDir() + "/tools_smoke_v2.flxt";
+  const std::string v2_path = test::private_dir() + "/tools_smoke_v2.flxt";
   io::save_trace_v2(v2_path, full, /*records_per_chunk=*/64);
 
   std::string bytes;
@@ -312,7 +295,7 @@ TEST_F(ToolsFixture, RecoverSalvagesATruncatedV2File) {
     buf << is.rdbuf();
     bytes = std::move(buf).str();
   }
-  const std::string torn_path = ::testing::TempDir() + "/tools_smoke_torn.flxt";
+  const std::string torn_path = test::private_dir() + "/tools_smoke_torn.flxt";
   {
     std::ofstream os(torn_path, std::ios::binary);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() * 2 / 3));
@@ -329,7 +312,7 @@ TEST_F(ToolsFixture, RecoverSalvagesATruncatedV2File) {
   EXPECT_NE(out.find("salvage:"), std::string::npos) << out;
 
   // …and flxt_recover writes a clean v2 file from it.
-  const std::string rec_path = ::testing::TempDir() + "/tools_smoke_rec.flxt";
+  const std::string rec_path = test::private_dir() + "/tools_smoke_rec.flxt";
   out = run_capture(
       tool("flxt_recover") + " " + torn_path + " " + rec_path, &rc);
   EXPECT_EQ(rc, 0) << out;
@@ -347,7 +330,7 @@ TEST_F(ToolsFixture, RecoverSalvagesATruncatedV2File) {
   }
 
   // A fully destroyed file exits 1.
-  const std::string dead_path = ::testing::TempDir() + "/tools_smoke_dead.flxt";
+  const std::string dead_path = test::private_dir() + "/tools_smoke_dead.flxt";
   {
     std::ofstream os(dead_path, std::ios::binary);
     os << std::string(64, '\x11');
@@ -360,7 +343,7 @@ TEST_F(ToolsFixture, ConvertSalvageRecoversADamagedV2File) {
   // A torn v2 file converts end-to-end with --salvage: whatever the
   // chunk scan recovers comes out as a clean v1 file.
   const io::TraceData full = io::open_trace(trace_path).read();
-  const std::string v2_path = ::testing::TempDir() + "/tools_smoke_cs.flxt2";
+  const std::string v2_path = test::private_dir() + "/tools_smoke_cs.flxt2";
   io::save_trace_v2(v2_path, full, /*records_per_chunk=*/64);
   std::string bytes;
   {
@@ -369,13 +352,13 @@ TEST_F(ToolsFixture, ConvertSalvageRecoversADamagedV2File) {
     buf << is.rdbuf();
     bytes = std::move(buf).str();
   }
-  const std::string torn_path = ::testing::TempDir() + "/tools_smoke_cs_torn";
+  const std::string torn_path = test::private_dir() + "/tools_smoke_cs_torn";
   {
     std::ofstream os(torn_path, std::ios::binary);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() * 2 / 3));
   }
 
-  const std::string out_path = ::testing::TempDir() + "/tools_smoke_cs_out";
+  const std::string out_path = test::private_dir() + "/tools_smoke_cs_out";
   int rc = -1;
   // Without --salvage the conversion refuses the damaged input…
   std::string out = run_capture(tool("flxt_convert") + " " + torn_path + " " +
@@ -398,8 +381,8 @@ TEST_F(ToolsFixture, ConvertSalvageRecoversADamagedV2File) {
 }
 
 TEST_F(ToolsFixture, SessionHealsUnderChaosAndReconciles) {
-  const std::string spool = ::testing::TempDir() + "/tools_session.flxt";
-  const std::string second = ::testing::TempDir() + "/tools_session_2nd.flxt";
+  const std::string spool = test::private_dir() + "/tools_session.flxt";
+  const std::string second = test::private_dir() + "/tools_session_2nd.flxt";
   int rc = -1;
   const std::string out = run_capture(
       tool("flxt_session") + " " + spool + " --secondary " + second +
@@ -419,7 +402,7 @@ TEST_F(ToolsFixture, SessionHealsUnderChaosAndReconciles) {
 }
 
 TEST_F(ToolsFixture, SessionRejectsInvalidNumericFlags) {
-  const std::string spool = ::testing::TempDir() + "/tools_session_bad.flxt";
+  const std::string spool = test::private_dir() + "/tools_session_bad.flxt";
   int rc = 0;
   // Zero where only a positive count makes sense.
   std::string out =
@@ -570,8 +553,8 @@ TEST_F(ToolsFixture, ReportFilterFlagsComposeAndReject) {
 
 TEST_F(ToolsFixture, ConvertChunkRecordsControlsV2Granularity) {
   int rc = -1;
-  const std::string fine = ::testing::TempDir() + "/tools_smoke_fine.flxt2";
-  const std::string coarse = ::testing::TempDir() + "/tools_smoke_coarse.flxt2";
+  const std::string fine = test::private_dir() + "/tools_smoke_fine.flxt2";
+  const std::string coarse = test::private_dir() + "/tools_smoke_coarse.flxt2";
   run_capture(tool("flxt_convert") + " " + trace_path + " " + fine +
                   " --to-v2 --chunk-records 8",
               &rc);
@@ -591,7 +574,7 @@ TEST_F(ToolsFixture, SessionCrashLeavesRecoverableSpool) {
   // Simulated kill -9 mid-capture: no close, no eof sentinel. The
   // fsync-per-chunk discipline means flxt_recover salvages every
   // committed chunk with zero CRC failures.
-  const std::string spool = ::testing::TempDir() + "/tools_session_crash.flxt";
+  const std::string spool = test::private_dir() + "/tools_session_crash.flxt";
   int rc = 0;
   std::string out = run_capture(
       tool("flxt_session") + " " + spool +
@@ -600,7 +583,7 @@ TEST_F(ToolsFixture, SessionCrashLeavesRecoverableSpool) {
   EXPECT_NE(rc, 0) << out; // the "kill" exits 137
   EXPECT_NE(out.find("crash-after reached"), std::string::npos) << out;
 
-  const std::string rec = ::testing::TempDir() + "/tools_session_rec.flxt";
+  const std::string rec = test::private_dir() + "/tools_session_rec.flxt";
   out = run_capture(tool("flxt_recover") + " " + spool + " " + rec, &rc);
   EXPECT_EQ(rc, 0) << out;
   EXPECT_NE(out.find("0 corrupt"), std::string::npos) << out;
@@ -614,7 +597,7 @@ TEST_F(ToolsFixture, SessionCrashLeavesRecoverableSpool) {
 TEST_F(ToolsFixture, QueryFollowCleanTraceEndsWithExactLedger) {
   // A finished v2 trace is the degenerate live case: the follower sees
   // the eof sentinel on its first poll and exits 0 with an exact ledger.
-  const std::string v2_path = ::testing::TempDir() + "/tools_follow.flxt2";
+  const std::string v2_path = test::private_dir() + "/tools_follow.flxt2";
   int rc = -1;
   run_capture(tool("flxt_convert") + " " + trace_path + " " + v2_path +
                   " --to-v2 --chunk-records 16",
@@ -639,7 +622,7 @@ TEST_F(ToolsFixture, QueryFollowSurvivesProducerKill9) {
   // --crash-after (std::_Exit, no close, no eof sentinel). Following the
   // abandoned spool must end in a producer-death salvage with exit 0 and
   // an exact ledger — a dead writer is a degraded ending, not an error.
-  const std::string spool = ::testing::TempDir() + "/tools_follow_crash.flxt";
+  const std::string spool = test::private_dir() + "/tools_follow_crash.flxt";
   int rc = 0;
   std::string out = run_capture(
       tool("flxt_session") + " " + spool +
@@ -661,7 +644,7 @@ TEST_F(ToolsFixture, QueryFollowSurvivesProducerKill9) {
 TEST_F(ToolsFixture, QueryFollowMaxPollsStopsCleanly) {
   // --max-polls bounds a follow of a live (eof-less) spool: the stop is
   // a salvage pass, the ledger still reconciles, exit 0.
-  const std::string spool = ::testing::TempDir() + "/tools_follow_open.flxt";
+  const std::string spool = test::private_dir() + "/tools_follow_open.flxt";
   int rc = 0;
   run_capture(tool("flxt_session") + " " + spool +
                   " --queries 100 --chunk-records 16 --crash-after 3",
@@ -682,7 +665,7 @@ TEST_F(ToolsFixture, QueryFollowSigintPrintsLedgerAndExitsZero) {
   // Satellite: Ctrl-C during --follow must not leave a half-written
   // table — the handler turns the poll loop into a final salvage pass
   // and the partial-window ledger still prints, exit 0.
-  const std::string spool = ::testing::TempDir() + "/tools_follow_int.flxt";
+  const std::string spool = test::private_dir() + "/tools_follow_int.flxt";
   int rc = 0;
   run_capture(tool("flxt_session") + " " + spool +
                   " --queries 100 --chunk-records 16 --crash-after 3",

@@ -10,7 +10,6 @@
 //   flxt_dump <trace> --csv samples    full sample stream as CSV
 //   flxt_dump <trace> --salvage        best-effort read of a damaged
 //                                      file (recovers intact chunks)
-//   flxt_dump <trace> --threads N      decode on N threads (0 = all)
 //
 // Every mode ends with a per-trace summary footer: item count with a
 // pairing/confidence breakdown, sample coverage, and the trace's TSC
@@ -20,11 +19,11 @@
 #include <cstring>
 #include <iostream>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "cli.hpp"
+#include "fluxtrace/core/attribution.hpp"
 #include "fluxtrace/io/trace_reader.hpp"
 #include "fluxtrace/io/v3.hpp"
 
@@ -32,56 +31,28 @@ using namespace fluxtrace;
 
 namespace {
 
-// Pair Enter -> Leave per core, the way the strict integrator does, and
-// classify everything that does not pair. An item is "clean" when every
-// one of its edges paired; any unterminated Enter or orphan Leave means
-// a degraded-mode read would have to synthesize the missing edge.
+// Pair markers with the attribution kernel's strict rule and classify
+// everything that does not pair. An item is "clean" when every one of
+// its edges paired; an Enter never left or an orphan Leave means a
+// degraded-mode read would have to synthesize the missing edge.
 void print_summary_footer(const io::TraceData& data) {
-  std::map<std::uint32_t, std::vector<const Marker*>> per_core;
-  for (const Marker& m : data.markers) per_core[m.core].push_back(&m);
-
-  struct Window {
-    Tsc enter, leave;
-  };
-  std::map<std::uint32_t, std::vector<Window>> windows;
-  std::set<ItemId> items, dirty_items;
-  std::size_t paired = 0, unterminated = 0, orphan_leaves = 0;
-  for (auto& [core, ms] : per_core) {
-    std::stable_sort(ms.begin(), ms.end(),
-                     [](const Marker* a, const Marker* b) {
-                       return a->tsc < b->tsc;
-                     });
-    std::map<ItemId, Tsc> open;
-    for (const Marker* m : ms) {
-      items.insert(m->item);
-      if (m->kind == MarkerKind::Enter) {
-        open[m->item] = m->tsc;
-      } else {
-        auto oit = open.find(m->item);
-        if (oit != open.end()) {
-          windows[core].push_back(Window{oit->second, m->tsc});
-          open.erase(oit);
-          ++paired;
-        } else {
-          ++orphan_leaves;
-          dirty_items.insert(m->item);
-        }
-      }
-    }
-    unterminated += open.size();
-    for (const auto& [item, enter] : open) dirty_items.insert(item);
+  core::WindowIndex windows(data.markers);
+  std::map<ItemId, std::size_t> edges; // markers per item, minus paired
+  std::size_t enters = 0;
+  for (const Marker& m : data.markers) {
+    ++edges[m.item];
+    enters += m.kind == MarkerKind::Enter ? 1 : 0;
   }
+  const std::size_t paired = windows.windows().size();
+  for (const core::ItemWindow& w : windows.windows()) edges[w.item] -= 2;
+  std::size_t dirty = 0;
+  for (const auto& [item, unpaired] : edges) dirty += unpaired > 0 ? 1 : 0;
+  const std::size_t unterminated = enters - paired;
+  const std::size_t orphan_leaves = data.markers.size() - enters - paired;
 
   std::size_t covered = 0;
   for (const PebsSample& s : data.samples) {
-    auto wit = windows.find(s.core);
-    if (wit == windows.end()) continue;
-    for (const Window& w : wit->second) {
-      if (s.tsc >= w.enter && s.tsc <= w.leave) {
-        ++covered;
-        break;
-      }
-    }
+    covered += windows.locate(s.core, s.tsc) != kNoItem ? 1 : 0;
   }
   const std::size_t uncovered = data.samples.size() - covered;
 
@@ -98,10 +69,10 @@ void print_summary_footer(const io::TraceData& data) {
   std::printf("\nsummary:\n");
   std::printf("  items:    %zu (%zu windows paired, %zu enters unterminated, "
               "%zu orphan leaves)\n",
-              items.size(), paired, unterminated, orphan_leaves);
+              edges.size(), paired, unterminated, orphan_leaves);
   std::printf("  quality:  %zu clean, %zu would need edge synthesis "
               "(--degraded)\n",
-              items.size() - dirty_items.size(), dirty_items.size());
+              edges.size() - dirty, dirty);
   std::printf("  samples:  %zu inside item windows, %zu outside (loss "
               "suspects)\n",
               covered, uncovered);
@@ -175,16 +146,14 @@ int main(int argc, char** argv) try {
   tools::Cli cli(argc, argv,
                  std::string("usage: ") + argv[0] +
                      " <trace-file> [--head N] [--csv markers|samples] "
-                     "[--salvage] [--threads N] [--telemetry FILE] "
+                     "[--salvage] [--telemetry FILE] "
                      "[--metrics] [--version]");
   std::size_t head = 10;
   const char* csv = nullptr;
   bool salvage = false;
-  unsigned threads = 1;
   cli.flag_count("--head", &head);
   cli.flag_str("--csv", &csv);
   cli.flag("--salvage", &salvage);
-  cli.flag_uint("--threads", &threads);
   tools::Telemetry tel;
   tel.attach(cli);
   if (!cli.parse(1, 1)) return cli.usage();
@@ -213,7 +182,7 @@ int main(int argc, char** argv) try {
                    rep.clean() ? " (file was clean)" : "");
       data = std::move(rep.data);
     } else {
-      data = reader.read_parallel(threads);
+      data = reader.read();
     }
   } catch (const io::TraceIoError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

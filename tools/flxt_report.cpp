@@ -12,9 +12,6 @@
 //   flxt_report <trace> <symbols> --degraded   salvage orphan samples,
 //                                              synthesize lost markers,
 //                                              flag degraded items
-//   flxt_report <trace> <symbols> --threads N  decode + integrate on N
-//                                              threads (0 = all cores);
-//                                              the result is identical
 //   flxt_report <trace> <symbols> --filter E   keep only buckets matching
 //                                              a query predicate over
 //                                              item/func/dur (query/expr);
@@ -31,7 +28,7 @@
 
 #include "cli.hpp"
 #include "fluxtrace/core/diagnosis.hpp"
-#include "fluxtrace/core/parallel_integrator.hpp"
+#include "fluxtrace/core/integrator.hpp"
 #include "fluxtrace/core/profile.hpp"
 #include "fluxtrace/io/folded.hpp"
 #include "fluxtrace/query/expr.hpp"
@@ -48,7 +45,7 @@ int main(int argc, char** argv) try {
                  std::string("usage: ") + argv[0] +
                      " <trace-file> <symbols-file> [--profile] [--folded] "
                      "[--gantt] [--diagnose] [--table-csv] [--regs] "
-                     "[--degraded] [--freq GHZ] [--threads N] "
+                     "[--degraded] [--freq GHZ] "
                      "[--filter EXPR] [--item N] [--func NAME] "
                      "[--telemetry FILE] [--metrics] [--version]");
   bool profile_mode = false;
@@ -58,7 +55,6 @@ int main(int argc, char** argv) try {
   bool table_csv_mode = false;
   bool regs_mode = false;
   bool degraded_mode = false;
-  unsigned threads = 1;
   CpuSpec spec;
   cli.flag("--profile", &profile_mode);
   cli.flag("--folded", &folded_mode);
@@ -68,7 +64,6 @@ int main(int argc, char** argv) try {
   cli.flag("--regs", &regs_mode);
   cli.flag("--degraded", &degraded_mode);
   cli.flag_ghz("--freq", &spec.freq_ghz);
-  cli.flag_uint("--threads", &threads);
   const char* filter_text = nullptr;
   const char* item_sel = nullptr;
   const char* func_sel = nullptr;
@@ -86,7 +81,7 @@ int main(int argc, char** argv) try {
     // Damaged traces degrade to the salvaged subset instead of aborting
     // the whole report — the same fallback the query engine applies.
     io::TraceReader::ReadResult rr =
-        io::open_trace(cli.pos(0)).read_or_salvage(threads);
+        io::open_trace(cli.pos(0)).read_or_salvage();
     data = std::move(rr.data);
     if (rr.salvaged) {
       if (data.samples.empty() && data.markers.empty()) {
@@ -171,7 +166,7 @@ int main(int argc, char** argv) try {
   core::IntegratorConfig icfg;
   icfg.use_register_ids = regs_mode;
   icfg.degraded = degraded_mode;
-  const core::ParallelIntegrator integ(symtab, icfg, threads);
+  const core::TraceIntegrator integ(symtab, icfg);
   const core::TraceTable table = integ.integrate(data.markers, data.samples);
 
   io::BucketFilter keep;
