@@ -10,8 +10,10 @@
 // allocation or an out-of-range read.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -20,12 +22,7 @@ namespace fluxtrace::codec {
 
 /// Bits needed to represent `v` (0 for v == 0).
 [[nodiscard]] inline unsigned bit_width_u64(std::uint64_t v) {
-  unsigned w = 0;
-  while (v != 0) {
-    ++w;
-    v >>= 1;
-  }
-  return w;
+  return static_cast<unsigned>(std::bit_width(v));
 }
 
 /// Exact packed size of `n` values at `width` bits.
@@ -39,27 +36,36 @@ inline void pack_bits(std::string& out, std::span<const std::uint64_t> values,
                       unsigned width) {
   if (width == 0 || values.empty()) return;
   const std::size_t base = out.size();
-  out.resize(base + packed_bytes(values.size(), width), '\0');
-  auto* p = reinterpret_cast<unsigned char*>(out.data()) + base;
-  std::size_t bitpos = 0;
+  out.resize(base + packed_bytes(values.size(), width));
+  char* p = out.data() + base;
+  const auto emit = [&p](std::uint64_t word, unsigned bytes) {
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(p, &word, bytes);
+      p += bytes;
+    } else {
+      for (unsigned k = 0; k < bytes; ++k) {
+        *p++ = static_cast<char>(word >> (8 * k));
+      }
+    }
+  };
   const std::uint64_t mask =
       width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+  // Bits accumulate low-first in `acc` and leave 8 bytes at a time.
+  std::uint64_t acc = 0;
+  unsigned have = 0; // pending bits in acc, always < 64
   for (std::uint64_t v : values) {
     v &= mask;
-    const std::size_t byte = bitpos >> 3;
-    const unsigned off = static_cast<unsigned>(bitpos & 7);
-    // The value spans bits [off, off + width) from p[byte]: at most 71
-    // bits, i.e. 8 whole bytes of (v << off) plus one spill byte.
-    const std::uint64_t lo = v << off;
-    const unsigned span_bytes = (off + width + 7) / 8;
-    for (unsigned k = 0; k < span_bytes && k < 8; ++k) {
-      p[byte + k] |= static_cast<unsigned char>((lo >> (8 * k)) & 0xffu);
+    acc |= v << have;
+    if (have + width < 64) {
+      have += width;
+      continue;
     }
-    if (span_bytes > 8) {
-      p[byte + 8] |= static_cast<unsigned char>((v >> (64 - off)) & 0xffu);
-    }
-    bitpos += width;
+    emit(acc, 8);
+    const unsigned used = 64 - have; // bits of v already in acc
+    acc = used < 64 ? v >> used : 0;
+    have = have + width - 64;
   }
+  emit(acc, (have + 7) / 8);
 }
 
 /// Unpack `n` values of `width` bits from `b` starting at `pos` into

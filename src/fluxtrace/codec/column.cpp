@@ -1,6 +1,8 @@
 #include "fluxtrace/codec/column.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -29,14 +31,19 @@ constexpr std::size_t kNoFit = std::numeric_limits<std::size_t>::max();
   return as_i64(as_u64(a) - as_u64(b));
 }
 
-// --- per-codec encoders ------------------------------------------------
+// --- per-codec encoders (each appends to `out`) -----------------------
 
 void encode_raw64(std::span<const std::int64_t> v, std::string& out) {
-  out.reserve(out.size() + v.size() * 8);
-  for (std::int64_t x : v) {
-    std::uint64_t u = as_u64(x);
-    for (int k = 0; k < 8; ++k) {
-      out.push_back(static_cast<char>((u >> (8 * k)) & 0xffu));
+  const std::size_t base = out.size();
+  out.resize(base + v.size() * 8);
+  char* p = out.data() + base;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, v.data(), v.size() * 8);
+  } else {
+    for (const std::int64_t x : v) {
+      for (int k = 0; k < 8; ++k) {
+        *p++ = static_cast<char>((as_u64(x) >> (8 * k)) & 0xffu);
+      }
     }
   }
 }
@@ -45,44 +52,48 @@ void encode_const(std::span<const std::int64_t> v, std::string& out) {
   put_varint(out, zigzag(v[0]));
 }
 
-void encode_varints(std::span<const std::int64_t> v, std::string& out) {
-  for (std::int64_t x : v) put_varint(out, zigzag(x));
+/// put_varint's bytes, written at `p`; returns the end.
+[[nodiscard]] char* write_varint(char* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<char>(0x80u | (v & 0x7fu));
+    v >>= 7;
+  }
+  *p++ = static_cast<char>(v);
+  return p;
 }
 
-void encode_delta(std::span<const std::int64_t> v, std::string& out) {
-  put_varint(out, zigzag(v[0]));
+[[nodiscard]] std::size_t varints_size(std::span<const std::int64_t> v) {
+  std::size_t s = 0;
+  for (std::int64_t x : v) s += varint_len(zigzag(x));
+  return s;
+}
+
+[[nodiscard]] std::size_t delta_size(std::span<const std::int64_t> v) {
+  std::size_t s = varint_len(zigzag(v[0]));
   for (std::size_t i = 1; i < v.size(); ++i) {
-    put_varint(out, zigzag(wrap_delta(v[i], v[i - 1])));
+    s += varint_len(zigzag(wrap_delta(v[i], v[i - 1])));
   }
+  return s;
 }
 
-/// Sorted distinct values of `v` (empty result only for empty input).
-[[nodiscard]] std::vector<std::int64_t> build_dict(
-    std::span<const std::int64_t> v) {
-  std::vector<std::int64_t> d(v.begin(), v.end());
-  std::sort(d.begin(), d.end());
-  d.erase(std::unique(d.begin(), d.end()), d.end());
-  return d;
+/// `size` must be varints_size(v).
+void encode_varints(std::span<const std::int64_t> v, std::size_t size,
+                    std::string& out) {
+  const std::size_t base = out.size();
+  out.resize(base + size);
+  char* p = out.data() + base;
+  for (std::int64_t x : v) p = write_varint(p, zigzag(x));
 }
 
-/// Dictionary layout: varint n_dict | zigzag varint d[0] | varint
-/// (d[i]-d[i-1]-1) for i in [1,n_dict) | indices bit-packed at
-/// bit_width(n_dict-1). Storing gap-minus-one makes a strictly sorted
-/// dictionary the only expressible kind.
-void encode_dict(std::span<const std::int64_t> v,
-                 const std::vector<std::int64_t>& d, std::string& out) {
-  put_varint(out, d.size());
-  put_varint(out, zigzag(d[0]));
-  for (std::size_t i = 1; i < d.size(); ++i) {
-    put_varint(out, as_u64(d[i]) - as_u64(d[i - 1]) - 1);
+/// `size` must be delta_size(v).
+void encode_delta(std::span<const std::int64_t> v, std::size_t size,
+                  std::string& out) {
+  const std::size_t base = out.size();
+  out.resize(base + size);
+  char* p = write_varint(out.data() + base, zigzag(v[0]));
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    p = write_varint(p, zigzag(wrap_delta(v[i], v[i - 1])));
   }
-  const unsigned width = bit_width_u64(d.size() - 1);
-  std::vector<std::uint64_t> idx(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    idx[i] = static_cast<std::uint64_t>(
-        std::lower_bound(d.begin(), d.end(), v[i]) - d.begin());
-  }
-  pack_bits(out, idx, width);
 }
 
 [[nodiscard]] std::size_t dict_encoded_size(std::size_t n,
@@ -95,12 +106,13 @@ void encode_dict(std::span<const std::int64_t> v,
 }
 
 /// Frame-of-reference layout: zigzag varint min | u8 width | offsets
-/// (v - min, unsigned wrap) bit-packed at `width`.
+/// (v - min, unsigned wrap) bit-packed at `width`. `offs` is scratch.
 void encode_forpack(std::span<const std::int64_t> v, std::int64_t min,
-                    unsigned width, std::string& out) {
+                    unsigned width, std::vector<std::uint64_t>& offs,
+                    std::string& out) {
   put_varint(out, zigzag(min));
   out.push_back(static_cast<char>(width));
-  std::vector<std::uint64_t> offs(v.size());
+  offs.resize(v.size());
   for (std::size_t i = 0; i < v.size(); ++i) {
     offs[i] = as_u64(v[i]) - as_u64(min);
   }
@@ -240,23 +252,25 @@ std::string encode_column(std::span<const std::int64_t> values,
     encode_const(values, out);
     return out;
   case ColumnCodec::Varint:
-    encode_varints(values, out);
+    encode_varints(values, varints_size(values), out);
     return out;
   case ColumnCodec::DeltaVarint:
-    encode_delta(values, out);
+    encode_delta(values, delta_size(values), out);
     return out;
   case ColumnCodec::Dict: {
-    auto d = build_dict(values);
-    if (d.size() > kMaxDictEntries) {
+    ColumnEncoder enc;
+    if (!enc.collect_distinct(values, kMaxDictEntries)) {
       throw std::invalid_argument("Dict codec: too many distinct values");
     }
-    encode_dict(values, d, out);
+    std::sort(enc.dict_.begin(), enc.dict_.end());
+    enc.encode_dict(values, out);
     return out;
   }
   case ColumnCodec::ForPack: {
     const auto [mn, mx] = std::minmax_element(values.begin(), values.end());
     const unsigned width = bit_width_u64(as_u64(*mx) - as_u64(*mn));
-    encode_forpack(values, *mn, width, out);
+    std::vector<std::uint64_t> offs;
+    encode_forpack(values, *mn, width, offs, out);
     return out;
   }
   }
@@ -265,38 +279,83 @@ std::string encode_column(std::span<const std::int64_t> values,
 
 EncodedColumn encode_column_best(std::span<const std::int64_t> values) {
   EncodedColumn enc;
-  if (values.empty()) return enc; // Raw64, no bytes
-  const std::size_t n = values.size();
+  ColumnEncoder encoder;
+  enc.codec = encoder.encode_best(values, enc.bytes);
+  return enc;
+}
 
-  // One pass for min/max/equality and the varint/delta sums.
-  std::int64_t mn = values[0];
-  std::int64_t mx = values[0];
-  bool all_equal = true;
-  std::size_t varint_sz = 0;
-  std::size_t delta_sz = varint_len(zigzag(values[0]));
-  for (std::size_t i = 0; i < n; ++i) {
+ColumnCodec ColumnEncoder::encode_best(std::span<const std::int64_t> values,
+                                       std::string& out) {
+  if (values.empty()) return ColumnCodec::Raw64; // no bytes
+  const std::size_t n = values.size();
+  const std::int64_t v0 = values[0];
+
+  // A constant column: Const is smaller than every other codec, or ties
+  // and precedes it, except Raw64 on one value whose varint is wider
+  // than 8 bytes.
+  std::size_t same = 1;
+  while (same < n && values[same] == v0) ++same;
+  if (same == n) {
+    if (n * 8 < varint_len(zigzag(v0))) {
+      encode_raw64(values, out);
+      return ColumnCodec::Raw64;
+    }
+    encode_const(values, out);
+    return ColumnCodec::Const;
+  }
+
+  // One pass for min/max and the delta sum.
+  std::int64_t mn = v0;
+  std::int64_t mx = v0;
+  std::size_t delta_sz = varint_len(zigzag(v0));
+  for (std::size_t i = 1; i < n; ++i) {
     const std::int64_t v = values[i];
     mn = std::min(mn, v);
     mx = std::max(mx, v);
-    all_equal = all_equal && v == values[0];
-    varint_sz += varint_len(zigzag(v));
-    if (i > 0) delta_sz += varint_len(zigzag(wrap_delta(v, values[i - 1])));
+    delta_sz += varint_len(zigzag(wrap_delta(v, values[i - 1])));
   }
-  const std::size_t const_sz =
-      all_equal ? varint_len(zigzag(values[0])) : kNoFit;
   const unsigned for_width = bit_width_u64(as_u64(mx) - as_u64(mn));
   const std::size_t for_sz =
       varint_len(zigzag(mn)) + 1 + packed_bytes(n, for_width);
+  const std::size_t raw_sz = n * 8;
 
-  // The dictionary needs a sort; only bother when it could plausibly
-  // win (ForPack already caps the damage, so skip huge cardinalities).
-  std::vector<std::int64_t> dict;
-  std::size_t dict_sz = kNoFit;
-  if (!all_equal) {
-    dict = build_dict(values);
-    if (dict.size() <= kMaxDictEntries && dict.size() < n) {
-      dict_sz = dict_encoded_size(n, dict);
+  // Varint is chosen only when it is smaller than ForPack and
+  // DeltaVarint (which precede it), and every value takes at least the
+  // varint of the value nearest zero; sum the varints only when that
+  // floor leaves it a chance.
+  const std::uint64_t z_floor = mn > 0 ? zigzag(mn) : mx < 0 ? zigzag(mx) : 0;
+  std::size_t varint_sz = kNoFit;
+  if (n * varint_len(z_floor) < std::min(for_sz, delta_sz)) {
+    varint_sz = varints_size(values);
+  }
+
+  // Likewise the dictionary must be smaller than ForPack and DeltaVarint
+  // and no larger than Varint and Raw64. With d entries it takes at
+  // least dict_floor(d) bytes: the count, the first entry (the column
+  // minimum), a byte per later entry and the packed indices. The floor
+  // grows with d, so it bounds how many distinct values are worth
+  // collecting; a dictionary must also stay within kMaxDictEntries and
+  // below one entry per row.
+  const std::size_t beat = std::min(for_sz, delta_sz);
+  const std::size_t tie = std::min(varint_sz, raw_sz);
+  const auto dict_floor = [&](std::size_t d) {
+    return varint_len(d) + varint_len(zigzag(mn)) + (d - 1) +
+           packed_bytes(n, bit_width_u64(d - 1));
+  };
+  std::size_t d_max = 0;
+  for (std::size_t lo = 2, hi = std::min(kMaxDictEntries, n - 1); lo <= hi;) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (const std::size_t f = dict_floor(mid); f < beat && f <= tie) {
+      d_max = mid;
+      lo = mid + 1;
+    } else {
+      hi = mid - 1;
     }
+  }
+  std::size_t dict_sz = kNoFit;
+  if (d_max >= 2 && collect_distinct(values, d_max)) {
+    std::sort(dict_.begin(), dict_.end());
+    dict_sz = dict_encoded_size(n, dict_);
   }
 
   // Fixed preference order breaks size ties toward the simpler decode.
@@ -305,27 +364,99 @@ EncodedColumn encode_column_best(std::span<const std::int64_t> values) {
     std::size_t size;
   };
   const Cand cands[] = {
-      {ColumnCodec::Const, const_sz},     {ColumnCodec::ForPack, for_sz},
-      {ColumnCodec::DeltaVarint, delta_sz}, {ColumnCodec::Dict, dict_sz},
-      {ColumnCodec::Varint, varint_sz},   {ColumnCodec::Raw64, n * 8},
+      {ColumnCodec::ForPack, for_sz}, {ColumnCodec::DeltaVarint, delta_sz},
+      {ColumnCodec::Dict, dict_sz},   {ColumnCodec::Varint, varint_sz},
+      {ColumnCodec::Raw64, raw_sz},
   };
   Cand best = cands[0];
   for (const Cand& c : cands) {
     if (c.size < best.size) best = c;
   }
 
-  enc.codec = best.codec;
+  out.reserve(out.size() + best.size);
   switch (best.codec) {
-  case ColumnCodec::Const: encode_const(values, enc.bytes); break;
   case ColumnCodec::ForPack:
-    encode_forpack(values, mn, for_width, enc.bytes);
+    encode_forpack(values, mn, for_width, words_, out);
     break;
-  case ColumnCodec::DeltaVarint: encode_delta(values, enc.bytes); break;
-  case ColumnCodec::Dict: encode_dict(values, dict, enc.bytes); break;
-  case ColumnCodec::Varint: encode_varints(values, enc.bytes); break;
-  case ColumnCodec::Raw64: encode_raw64(values, enc.bytes); break;
+  case ColumnCodec::DeltaVarint: encode_delta(values, delta_sz, out); break;
+  case ColumnCodec::Dict: encode_dict(values, out); break;
+  case ColumnCodec::Varint: encode_varints(values, varint_sz, out); break;
+  case ColumnCodec::Raw64: encode_raw64(values, out); break;
+  case ColumnCodec::Const: break; // constant columns returned above
   }
-  return enc;
+  return best.codec;
+}
+
+std::size_t ColumnEncoder::probe(std::int64_t key) const {
+  const std::size_t mask = (std::size_t{1} << (64 - shift_)) - 1;
+  for (std::size_t s = (as_u64(key) * 0x9e3779b97f4a7c15ull) >> shift_;;
+       s = (s + 1) & mask) {
+    if (set_tag_[s] != epoch_ || set_key_[s] == key) return s;
+  }
+}
+
+bool ColumnEncoder::collect_distinct(std::span<const std::int64_t> v,
+                                     std::size_t limit) {
+  // At most limit + 1 keys go in, so 2(limit + 1) slots keep the load
+  // under one half.
+  const unsigned bits = static_cast<unsigned>(std::bit_width(2 * limit + 1));
+  const std::size_t slots = std::size_t{1} << bits;
+  shift_ = 64 - bits;
+  if (set_tag_.size() < slots) { // grown once, then reused at any size
+    set_key_.resize(slots);
+    set_index_.resize(slots);
+    set_tag_.assign(slots, 0);
+    epoch_ = 0;
+  }
+  if (++epoch_ == 0) { // tags wrapped: forget every old epoch
+    std::fill(set_tag_.begin(), set_tag_.end(), 0);
+    epoch_ = 1;
+  }
+  dict_.clear();
+  const auto add = [this](std::int64_t key) {
+    const std::size_t s = probe(key);
+    if (set_tag_[s] == epoch_) return;
+    set_tag_[s] = epoch_;
+    set_key_[s] = key;
+    dict_.push_back(key);
+  };
+  // Runs of one value (item ids, core ids) cost a compare, not a probe.
+  std::int64_t prev = v[0];
+  add(prev);
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    if (v[i] == prev) continue;
+    prev = v[i];
+    add(prev);
+    if (dict_.size() > limit) return false;
+  }
+  return true;
+}
+
+void ColumnEncoder::encode_dict(std::span<const std::int64_t> v,
+                                std::string& out) {
+  // Layout: varint n_dict | zigzag varint d[0] | varint (d[i]-d[i-1]-1)
+  // for i in [1,n_dict) | indices bit-packed at bit_width(n_dict-1).
+  // Storing gap-minus-one makes a strictly sorted dictionary the only
+  // expressible kind.
+  put_varint(out, dict_.size());
+  put_varint(out, zigzag(dict_[0]));
+  for (std::size_t i = 1; i < dict_.size(); ++i) {
+    put_varint(out, as_u64(dict_[i]) - as_u64(dict_[i - 1]) - 1);
+  }
+  for (std::size_t k = 0; k < dict_.size(); ++k) {
+    set_index_[probe(dict_[k])] = static_cast<std::uint32_t>(k);
+  }
+  words_.resize(v.size());
+  std::int64_t prev = v[0];
+  std::uint64_t idx = set_index_[probe(prev)];
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (v[i] != prev) {
+      prev = v[i];
+      idx = set_index_[probe(prev)];
+    }
+    words_[i] = idx;
+  }
+  pack_bits(out, words_, bit_width_u64(dict_.size() - 1));
 }
 
 bool decode_column(ColumnCodec codec, std::string_view payload, std::size_t n,

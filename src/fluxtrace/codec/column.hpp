@@ -27,6 +27,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace fluxtrace::codec {
 
@@ -66,6 +67,43 @@ struct EncodedColumn {
 /// cannot represent `values`.
 [[nodiscard]] std::string encode_column(std::span<const std::int64_t> values,
                                         ColumnCodec codec);
+
+/// encode_column_best with its working memory kept from call to call: a
+/// chunk encoder holds one, so encoding a column allocates nothing once
+/// the buffers have grown to the chunk size. Same codec, same bytes.
+///
+/// It skips the dictionary's distinct-value pass outright when even the
+/// smallest dictionary the column could have is no smaller than another
+/// codec's exact size, and stops that pass as soon as the distinct count
+/// proves the same; constant columns finish after one equality scan.
+class ColumnEncoder {
+ public:
+  /// Append the encoding of `values` to `out`; returns its codec.
+  ColumnCodec encode_best(std::span<const std::int64_t> values,
+                          std::string& out);
+
+ private:
+  /// Collect the distinct values of `v` into dict_ (unsorted) while
+  /// there are at most `limit`; false as soon as there are more.
+  bool collect_distinct(std::span<const std::int64_t> v, std::size_t limit);
+  /// The set slot holding `key`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t probe(std::int64_t key) const;
+  /// Append the Dict encoding of `v` over the sorted dict_.
+  void encode_dict(std::span<const std::int64_t> v, std::string& out);
+
+  friend std::string encode_column(std::span<const std::int64_t> values,
+                                   ColumnCodec codec);
+
+  std::vector<std::int64_t> dict_;     ///< distinct values, then sorted
+  std::vector<std::uint64_t> words_;   ///< dictionary indices / FoR offsets
+  // Open-addressing set of distinct values; a slot is in use when its
+  // tag equals the current epoch, so no call has to clear it.
+  std::vector<std::int64_t> set_key_;
+  std::vector<std::uint32_t> set_tag_;
+  std::vector<std::uint32_t> set_index_; ///< slot -> sorted dict index
+  std::uint32_t epoch_ = 0;
+  unsigned shift_ = 63; ///< 64 - log2(the slots this call uses)
+};
 
 /// Decode exactly `n` values from `payload` into `out[0..n)`. Returns
 /// false on any irregularity: unknown codec, truncated or overlong

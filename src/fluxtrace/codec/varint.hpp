@@ -9,6 +9,7 @@
 // fix: validate before trusting, bound before allocating).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -29,14 +30,10 @@ inline void put_varint(std::string& out, std::uint64_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-/// Bytes put_varint would append for `v` (for exact size estimation).
+/// Bytes put_varint would append for `v` (for exact size estimation):
+/// one per started 7-bit group, and one for zero.
 [[nodiscard]] inline std::size_t varint_len(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
+  return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
 }
 
 /// Strict canonical decode at `pos`. On success advances `pos` past the

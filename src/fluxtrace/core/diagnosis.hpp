@@ -24,7 +24,10 @@ struct DiagnosisConfig {
 struct OutlierReport {
   ItemId item = kNoItem;
   Tsc total = 0;             ///< window total
-  double sigmas = 0.0;       ///< deviation from the running mean
+  /// Robust z-score of the item's total against the median and MAD of
+  /// all item totals: (total - median) / (1.4826 MAD), the scale floored
+  /// at 0.1% of the median.
+  double sigmas = 0.0;
   SymbolId dominant_fn = kInvalidSymbol;
   Tsc dominant_elapsed = 0;
   double dominant_share = 0.0; ///< of the item's estimated total

@@ -93,6 +93,7 @@ void TraceTable::add_sample(ItemId item, SymbolId fn, std::uint32_t core,
 
 void TraceTable::add_window(const ItemWindow& w) {
   windows_.push_back(w);
+  window_total_[w.item] += w.length();
   if (w.synthesized()) {
     ++windows_synthesized_;
     ItemQuality& q = quality_[w.item];
@@ -182,11 +183,8 @@ const ItemWindow* TraceTable::window_of(ItemId item,
 }
 
 Tsc TraceTable::item_window_total(ItemId item) const {
-  Tsc sum = 0;
-  for (const ItemWindow& w : windows_) {
-    if (w.item == item) sum += w.length();
-  }
-  return sum;
+  const auto it = window_total_.find(item);
+  return it == window_total_.end() ? 0 : it->second;
 }
 
 } // namespace fluxtrace::core

@@ -219,6 +219,8 @@ class TraceTable {
   std::unordered_map<ItemId, std::int32_t> item_head_;
   std::vector<std::int32_t> next_of_item_;
   std::vector<ItemWindow> windows_;
+  /// Per item the sum of its window lengths, kept as windows are added.
+  std::unordered_map<ItemId, Tsc> window_total_;
   std::unordered_map<ItemId, ItemQuality> quality_;
   std::uint64_t unmatched_item_ = 0;
   std::uint64_t unmatched_symbol_ = 0;

@@ -15,25 +15,41 @@ namespace fluxtrace::io::detail {
 /// CHNK frame header: magic + type + count + size + header/payload CRCs.
 inline constexpr std::size_t kChunkHeaderBytes = 21;
 
-/// Hard per-chunk record cap, enforced on every decode of a *compressed*
-/// chunk (a raw chunk's count is already pinned by payload_bytes /
-/// record size; a compressed chunk's is not — without this cap a forged
-/// count with a valid CRC could demand an arbitrarily large allocation).
-/// Writers chunk far below this.
-inline constexpr std::uint32_t kMaxRecordsPerChunk = 1u << 20;
-
 // --- little-endian append/peek over an in-memory buffer ---------------
 
 inline void app_u8(std::string& b, std::uint8_t v) {
   b.push_back(static_cast<char>(v));
 }
 
+/// Store `v` little-endian at `at` (the bytes must already exist).
+inline void put_u32(std::string& b, std::size_t at, std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(b.data() + at, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < 4; ++i) {
+      b[at + i] = static_cast<char>(v >> (8 * i));
+    }
+  }
+}
+
 inline void app_u32(std::string& b, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) app_u8(b, static_cast<std::uint8_t>(v >> (8 * i)));
+  if constexpr (std::endian::native == std::endian::little) {
+    b.append(reinterpret_cast<const char*>(&v), sizeof v);
+  } else {
+    for (int i = 0; i < 4; ++i) {
+      app_u8(b, static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
 }
 
 inline void app_u64(std::string& b, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) app_u8(b, static_cast<std::uint8_t>(v >> (8 * i)));
+  if constexpr (std::endian::native == std::endian::little) {
+    b.append(reinterpret_cast<const char*>(&v), sizeof v);
+  } else {
+    for (int i = 0; i < 8; ++i) {
+      app_u8(b, static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
 }
 
 inline std::uint8_t peek_u8(std::string_view b, std::size_t at) {
@@ -72,10 +88,21 @@ inline std::uint64_t peek_u64(std::string_view b, std::size_t at) {
   }
 }
 
-/// One complete CHNK frame: header (with both CRCs) + payload.
-/// Implemented in chunked.cpp.
-[[nodiscard]] std::string make_chunk(std::uint8_t type,
-                                     std::uint32_t n_records,
-                                     const std::string& payload);
+// --- in-place CHNK framing --------------------------------------------
+// A frame is built in the buffer it ships in: open_chunk reserves the
+// header, the caller appends the payload behind it, and seal_chunk fills
+// the header in. The payload is never copied.
+
+/// Reserve a frame header at the end of `b`; returns its offset.
+inline std::size_t open_chunk(std::string& b) {
+  const std::size_t at = b.size();
+  b.resize(at + kChunkHeaderBytes);
+  return at;
+}
+
+/// Fill in the header of the frame opened at `at`: its payload is every
+/// byte of `b` after the header. Implemented in chunked.cpp.
+void seal_chunk(std::string& b, std::size_t at, std::uint8_t type,
+                std::uint32_t n_records);
 
 } // namespace fluxtrace::io::detail

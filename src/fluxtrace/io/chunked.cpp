@@ -23,10 +23,12 @@ using detail::app_u8;
 using detail::app_u32;
 using detail::app_u64;
 using detail::kChunkHeaderBytes;
-using detail::make_chunk;
+using detail::open_chunk;
 using detail::peek_u8;
 using detail::peek_u32;
 using detail::peek_u64;
+using detail::put_u32;
+using detail::seal_chunk;
 
 constexpr std::uint8_t kChunkMarkers = 0;
 constexpr std::uint8_t kChunkSamples = 1;
@@ -129,12 +131,6 @@ bool decode_wait_edges(std::string_view payload, std::uint32_t n,
   return true;
 }
 
-void write_chunk(std::ostream& os, std::uint8_t type, std::uint32_t n_records,
-                 const std::string& payload) {
-  const std::string chunk = make_chunk(type, n_records, payload);
-  os.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-}
-
 std::string read_rest(std::istream& is) {
   std::ostringstream buf;
   buf << is.rdbuf();
@@ -143,18 +139,15 @@ std::string read_rest(std::istream& is) {
 
 } // namespace
 
-std::string detail::make_chunk(std::uint8_t type, std::uint32_t n_records,
-                               const std::string& payload) {
-  std::string out;
-  out.reserve(kChunkHeaderBytes + payload.size());
-  app_u32(out, kChunkMagic);
-  app_u8(out, type);
-  app_u32(out, n_records);
-  app_u32(out, static_cast<std::uint32_t>(payload.size()));
-  app_u32(out, crc32(out.data(), out.size()));
-  app_u32(out, crc32(payload.data(), payload.size()));
-  out += payload;
-  return out;
+void detail::seal_chunk(std::string& b, std::size_t at, std::uint8_t type,
+                        std::uint32_t n_records) {
+  const std::size_t payload_at = at + kChunkHeaderBytes;
+  put_u32(b, at, kChunkMagic);
+  b[at + 4] = static_cast<char>(type);
+  put_u32(b, at + 5, n_records);
+  put_u32(b, at + 9, static_cast<std::uint32_t>(b.size() - payload_at));
+  put_u32(b, at + 13, crc32(b.data() + at, 13));
+  put_u32(b, at + 17, crc32(b.data() + payload_at, b.size() - payload_at));
 }
 
 std::uint32_t crc32(const void* data, std::size_t len) {
@@ -211,36 +204,10 @@ std::uint32_t crc32(const void* data, std::size_t len) {
   return crc ^ 0xffffffffu;
 }
 
-std::string encode_v2_file_header() {
-  std::string header;
-  app_u32(header, kTraceMagic);
-  app_u32(header, kTraceVersion2);
-  return header;
-}
-
-std::string encode_marker_chunk(const Marker* ms, std::size_t n) {
-  std::string payload;
-  payload.reserve(n * kMarkerBytes);
-  for (std::size_t i = 0; i < n; ++i) encode_marker(payload, ms[i]);
-  return make_chunk(kChunkMarkers, static_cast<std::uint32_t>(n), payload);
-}
-
-std::string encode_sample_chunk(const PebsSample* ss, std::size_t n) {
-  std::string payload;
-  payload.reserve(n * kSampleBytes);
-  for (std::size_t i = 0; i < n; ++i) encode_sample(payload, ss[i]);
-  return make_chunk(kChunkSamples, static_cast<std::uint32_t>(n), payload);
-}
-
-std::string encode_wait_chunk(const WaitEdge* es, std::size_t n) {
-  std::string payload;
-  payload.reserve(n * kWaitEdgeBytes);
-  for (std::size_t i = 0; i < n; ++i) encode_wait_edge(payload, es[i]);
-  return make_chunk(kChunkWaitEdges, static_cast<std::uint32_t>(n), payload);
-}
-
 std::string encode_eof_chunk() {
-  return make_chunk(kChunkEof, 0, std::string{});
+  std::string b;
+  seal_chunk(b, open_chunk(b), kChunkEof, 0);
+  return b;
 }
 
 void write_trace_v2(std::ostream& os, const TraceData& data,
@@ -262,43 +229,29 @@ void write_trace_v2(std::ostream& os, const TraceData& data,
   os.write(header.data(), static_cast<std::streamsize>(header.size()));
   check("header");
 
-  std::string payload;
-  for (std::size_t at = 0; at < data.markers.size();
-       at += records_per_chunk) {
-    const std::size_t n =
-        std::min(records_per_chunk, data.markers.size() - at);
-    payload.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      encode_marker(payload, data.markers[at + i]);
+  // Each chunk is framed in place in one reused buffer.
+  std::string chunk;
+  const auto write_section = [&](const auto& recs, std::uint8_t type,
+                                 auto encode) {
+    for (std::size_t at = 0; at < recs.size(); at += records_per_chunk) {
+      const std::size_t n = std::min(records_per_chunk, recs.size() - at);
+      chunk.clear();
+      const std::size_t hdr = open_chunk(chunk);
+      for (std::size_t i = 0; i < n; ++i) encode(chunk, recs[at + i]);
+      seal_chunk(chunk, hdr, type, static_cast<std::uint32_t>(n));
+      os.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
     }
-    write_chunk(os, kChunkMarkers, static_cast<std::uint32_t>(n), payload);
-  }
+  };
+  write_section(data.markers, kChunkMarkers, encode_marker);
   check("marker chunks");
-  for (std::size_t at = 0; at < data.samples.size();
-       at += records_per_chunk) {
-    const std::size_t n =
-        std::min(records_per_chunk, data.samples.size() - at);
-    payload.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      encode_sample(payload, data.samples[at + i]);
-    }
-    write_chunk(os, kChunkSamples, static_cast<std::uint32_t>(n), payload);
-  }
+  write_section(data.samples, kChunkSamples, encode_sample);
   check("sample chunks");
-  for (std::size_t at = 0; at < data.wait_edges.size();
-       at += records_per_chunk) {
-    const std::size_t n =
-        std::min(records_per_chunk, data.wait_edges.size() - at);
-    payload.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      encode_wait_edge(payload, data.wait_edges[at + i]);
-    }
-    write_chunk(os, kChunkWaitEdges, static_cast<std::uint32_t>(n), payload);
-  }
+  write_section(data.wait_edges, kChunkWaitEdges, encode_wait_edge);
   check("wait-edge chunks");
   // Torn-write detector: a crash cutting the file at an exact chunk
   // boundary would otherwise look like a complete shorter file.
-  write_chunk(os, kChunkEof, 0, std::string{});
+  const std::string eof = encode_eof_chunk();
+  os.write(eof.data(), static_cast<std::streamsize>(eof.size()));
   os.flush();
   check("eof chunk");
 }

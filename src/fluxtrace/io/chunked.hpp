@@ -52,21 +52,8 @@ inline constexpr std::size_t kDefaultChunkRecords = 1024;
 void write_trace_v2(std::ostream& os, const TraceData& data,
                     std::size_t records_per_chunk = kDefaultChunkRecords);
 
-// --- streaming chunk encoders -----------------------------------------
-// The byte-exact building blocks of the v2 layout, exposed so a spooler
-// (io::ResilientWriter) can emit and fsync the file chunk-at-a-time: a
-// crash between chunks leaves a salvageable prefix, never a torn record.
-
-/// The 8-byte file prefix: magic + version.
-[[nodiscard]] std::string encode_v2_file_header();
-/// One complete marker chunk (header, CRCs, payload) for `n` records.
-[[nodiscard]] std::string encode_marker_chunk(const Marker* ms, std::size_t n);
-/// One complete sample chunk for `n` records.
-[[nodiscard]] std::string encode_sample_chunk(const PebsSample* ss,
-                                              std::size_t n);
-/// One complete wait-edge chunk (type 3, ISSUE 8) for `n` records.
-[[nodiscard]] std::string encode_wait_chunk(const WaitEdge* es, std::size_t n);
-/// The trailing eof sentinel chunk (the torn-write detector).
+/// The trailing eof sentinel chunk (the torn-write detector), shared by
+/// the v2 and v3 layouts.
 [[nodiscard]] std::string encode_eof_chunk();
 
 /// File-path convenience; errors carry the path and errno context.

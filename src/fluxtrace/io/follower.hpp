@@ -1,7 +1,7 @@
 // Crash-consistent live trace following: the *read* side of an active
 // capture session (ISSUE 6).
 //
-// A ResilientWriter appends FLXT v2 chunks to a spool, fsyncing on every
+// A ResilientWriter appends FLXT v3 chunks to a spool, fsyncing on every
 // chunk boundary; a TraceFollower tails that same file while the writer
 // is still running — committing a chunk only once its full frame (21-byte
 // CRC-protected header + payload) is visible and both CRCs check out.
@@ -32,7 +32,7 @@
 // where observed counts every data-chunk frame the follower ever saw
 // bytes of, consumed the chunks committed live, salvaged the chunks the
 // death pass recovered, and torn the incomplete/invalid tail frames that
-// were never durable. The clean end is the v2 eof sentinel: the writer's
+// were never durable. The clean end is the eof sentinel: the writer's
 // close() commits it, the follower sees it and finishes CleanEof.
 #pragma once
 
@@ -226,7 +226,7 @@ class TraceFollower {
     std::uint64_t resyncs = 0;         ///< mid-file damage scans
     std::uint64_t bytes_skipped = 0;   ///< damaged bytes resynced past
 
-    bool header_seen = false; ///< v2 magic + version validated
+    bool header_seen = false; ///< magic + version (2 or 3) validated
     bool eof_seen = false;    ///< the writer's clean-close sentinel
 
     /// The exact accounting ISSUE 6 demands: every data-chunk frame the

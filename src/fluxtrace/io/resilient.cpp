@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <utility>
 
@@ -104,7 +105,9 @@ ResilientWriter::ResilientWriter(ResilientWriterConfig cfg,
                                  std::unique_ptr<SpoolSink> primary,
                                  std::unique_ptr<SpoolSink> secondary)
     : cfg_(cfg), jitter_state_(cfg.jitter_seed) {
-  if (cfg_.records_per_chunk == 0) cfg_.records_per_chunk = 1;
+  // A compressed chunk holds at most kMaxChunkRecords records.
+  cfg_.records_per_chunk = std::clamp<std::size_t>(cfg_.records_per_chunk, 1,
+                                                   kMaxChunkRecords);
   if (cfg_.queue_chunks == 0) cfg_.queue_chunks = 1;
   if (cfg_.max_attempts == 0) cfg_.max_attempts = 1;
   if (cfg_.breaker_strikes == 0) cfg_.breaker_strikes = 1;
@@ -200,12 +203,12 @@ bool ResilientWriter::commit_head(std::uint64_t now_ns) {
   SinkState& s = sinks_[active_];
   StagedChunk& head = queue_.front();
 
-  // Lazily prefix each spool with the 8-byte v2 file header. Folded into
+  // Lazily prefix each spool with the 8-byte v3 file header. Folded into
   // the same attempt so header write errors take the same retry path, and
   // resumed at a byte offset like chunk payloads: a short header write
   // already landed its prefix on the device, so rewriting from byte 0
   // would corrupt the file.
-  if (const std::string hdr = encode_v2_file_header();
+  if (const std::string hdr = encode_v3_file_header();
       s.header_bytes < hdr.size()) {
     while (s.header_bytes < hdr.size()) {
       const SinkResult r = s.sink->write(hdr.data() + s.header_bytes,
@@ -346,36 +349,40 @@ void ResilientWriter::stage(StagedChunk&& chunk, std::uint64_t now_ns) {
   stats_.queue_depth = queue_.size();
 }
 
+template <class Rec>
+void ResilientWriter::cut(const Rec* recs, std::size_t n,
+                          std::uint64_t now_ns) {
+  StagedChunk c;
+  c.bytes = encoder_.encode(recs, n);
+  c.records = n;
+  stage(std::move(c), now_ns);
+}
+
+template <class Rec>
+void ResilientWriter::add_records(std::vector<Rec>& partial, const Rec* recs,
+                                  std::size_t n, std::uint64_t now_ns) {
+  const std::size_t per = cfg_.records_per_chunk;
+  if (!partial.empty()) {
+    const std::size_t take = std::min(n, per - partial.size());
+    partial.insert(partial.end(), recs, recs + take);
+    recs += take;
+    n -= take;
+    if (partial.size() < per) return;
+    cut(partial.data(), per, now_ns);
+    partial.clear();
+  }
+  for (; n >= per; recs += per, n -= per) cut(recs, per, now_ns);
+  partial.assign(recs, recs + n);
+}
+
 void ResilientWriter::add_markers(const Marker* ms, std::size_t n,
                                   std::uint64_t now_ns) {
-  marker_buf_.insert(marker_buf_.end(), ms, ms + n);
-  std::size_t at = 0;
-  while (marker_buf_.size() - at >= cfg_.records_per_chunk) {
-    StagedChunk c;
-    c.bytes = encode_marker_chunk(marker_buf_.data() + at,
-                                  cfg_.records_per_chunk);
-    c.records = cfg_.records_per_chunk;
-    stage(std::move(c), now_ns);
-    at += cfg_.records_per_chunk;
-  }
-  marker_buf_.erase(marker_buf_.begin(),
-                    marker_buf_.begin() + static_cast<std::ptrdiff_t>(at));
+  add_records(marker_buf_, ms, n, now_ns);
 }
 
 void ResilientWriter::add_samples(const PebsSample* ss, std::size_t n,
                                   std::uint64_t now_ns) {
-  sample_buf_.insert(sample_buf_.end(), ss, ss + n);
-  std::size_t at = 0;
-  while (sample_buf_.size() - at >= cfg_.records_per_chunk) {
-    StagedChunk c;
-    c.bytes = encode_sample_chunk(sample_buf_.data() + at,
-                                  cfg_.records_per_chunk);
-    c.records = cfg_.records_per_chunk;
-    stage(std::move(c), now_ns);
-    at += cfg_.records_per_chunk;
-  }
-  sample_buf_.erase(sample_buf_.begin(),
-                    sample_buf_.begin() + static_cast<std::ptrdiff_t>(at));
+  add_records(sample_buf_, ss, n, now_ns);
 }
 
 void ResilientWriter::add_wait_edges(const WaitEdge* es, std::size_t n,
@@ -384,17 +391,7 @@ void ResilientWriter::add_wait_edges(const WaitEdge* es, std::size_t n,
   // winding down, after close() sealed the spool; there is no file to
   // put it in any more, so drop it rather than corrupt the ledger.
   if (closed_) return;
-  wait_buf_.insert(wait_buf_.end(), es, es + n);
-  std::size_t at = 0;
-  while (wait_buf_.size() - at >= cfg_.records_per_chunk) {
-    StagedChunk c;
-    c.bytes = encode_wait_chunk(wait_buf_.data() + at, cfg_.records_per_chunk);
-    c.records = cfg_.records_per_chunk;
-    stage(std::move(c), now_ns);
-    at += cfg_.records_per_chunk;
-  }
-  wait_buf_.erase(wait_buf_.begin(),
-                  wait_buf_.begin() + static_cast<std::ptrdiff_t>(at));
+  add_records(wait_buf_, es, n, now_ns);
 }
 
 std::size_t ResilientWriter::pump(std::uint64_t now_ns) {
@@ -413,27 +410,14 @@ bool ResilientWriter::close(std::uint64_t now_ns) {
   closed_ = true;
 
   // Flush the partial chunks under construction.
-  if (!marker_buf_.empty()) {
-    StagedChunk c;
-    c.bytes = encode_marker_chunk(marker_buf_.data(), marker_buf_.size());
-    c.records = marker_buf_.size();
-    marker_buf_.clear();
-    stage(std::move(c), now_ns);
-  }
-  if (!sample_buf_.empty()) {
-    StagedChunk c;
-    c.bytes = encode_sample_chunk(sample_buf_.data(), sample_buf_.size());
-    c.records = sample_buf_.size();
-    sample_buf_.clear();
-    stage(std::move(c), now_ns);
-  }
-  if (!wait_buf_.empty()) {
-    StagedChunk c;
-    c.bytes = encode_wait_chunk(wait_buf_.data(), wait_buf_.size());
-    c.records = wait_buf_.size();
-    wait_buf_.clear();
-    stage(std::move(c), now_ns);
-  }
+  const auto flush = [&](auto& partial) {
+    if (partial.empty()) return;
+    cut(partial.data(), partial.size(), now_ns);
+    partial.clear();
+  };
+  flush(marker_buf_);
+  flush(sample_buf_);
+  flush(wait_buf_);
 
   // Drain, charging backoff to a local virtual clock (close never
   // sleeps). Bounded: every round performs a real write attempt.

@@ -40,7 +40,7 @@
 
 #include "fluxtrace/base/markers.hpp"
 #include "fluxtrace/base/samples.hpp"
-#include "fluxtrace/io/chunked.hpp"
+#include "fluxtrace/io/v3.hpp"
 
 namespace fluxtrace::io {
 
@@ -134,6 +134,7 @@ struct ResilientWriterConfig {
   /// Staging queue capacity, in chunks.
   std::size_t queue_chunks = 64;
   OverflowPolicy overflow = OverflowPolicy::Block;
+  /// Records per chunk; the writer clamps it to [1, kMaxChunkRecords].
   std::size_t records_per_chunk = kDefaultChunkRecords;
 
   /// Transient-failure retries per pump before the chunk is left queued
@@ -155,7 +156,8 @@ struct ResilientWriterConfig {
   bool sync_each_chunk = true;
 };
 
-/// Single-threaded resilient spooler of FLXT v2 chunks. See file comment.
+/// Single-threaded resilient spooler of compressed FLXT v3 chunks. See
+/// file comment.
 class ResilientWriter {
  public:
   /// `secondary` may be null (single-spool deployment).
@@ -164,8 +166,9 @@ class ResilientWriter {
 
   // --- staging ----------------------------------------------------------
   /// Encode records into chunks and stage them, applying the overflow
-  /// policy. Full chunks of cfg.records_per_chunk are cut immediately;
-  /// the remainder is buffered until the next add or close().
+  /// policy. Full chunks of cfg.records_per_chunk are cut immediately,
+  /// straight from the caller's array; only the remainder is copied and
+  /// buffered until the next add or close().
   void add_markers(const Marker* ms, std::size_t n, std::uint64_t now_ns);
   void add_samples(const PebsSample* ss, std::size_t n, std::uint64_t now_ns);
   void add_wait_edges(const WaitEdge* es, std::size_t n, std::uint64_t now_ns);
@@ -177,7 +180,7 @@ class ResilientWriter {
   /// Flush partial buffers, drain what the sinks will take, append the
   /// eof sentinel, final sync. Chunks no sink accepted are counted as
   /// sink-lost. Returns true when everything including the sentinel
-  /// committed (the spool is a *clean* v2 file).
+  /// committed (the spool is a *clean* v3 file).
   bool close(std::uint64_t now_ns);
 
   // --- observability ----------------------------------------------------
@@ -229,13 +232,21 @@ class ResilientWriter {
   };
   struct SinkState {
     std::unique_ptr<SpoolSink> sink;
-    std::size_t header_bytes = 0; ///< v2 file header resume offset
+    std::size_t header_bytes = 0; ///< file header resume offset
     std::uint32_t strikes = 0;
     bool open = false;            ///< circuit open (sink sidelined)
     bool fatal = false;           ///< saw a Fatal status
     std::uint64_t opened_at_ns = 0;
   };
 
+  /// Top up `partial` from `recs`, cutting every full chunk; records
+  /// that complete no chunk stay in `partial`.
+  template <class Rec>
+  void add_records(std::vector<Rec>& partial, const Rec* recs, std::size_t n,
+                   std::uint64_t now_ns);
+  /// Encode n records as one chunk and stage it.
+  template <class Rec>
+  void cut(const Rec* recs, std::size_t n, std::uint64_t now_ns);
   void stage(StagedChunk&& chunk, std::uint64_t now_ns);
   /// One chunk → active sink. True = committed; false = left queued.
   bool commit_head(std::uint64_t now_ns);
@@ -251,6 +262,7 @@ class ResilientWriter {
   std::size_t n_sinks_;
   std::size_t active_ = 0;
   std::deque<StagedChunk> queue_;
+  V3ChunkEncoder encoder_;
   std::vector<Marker> marker_buf_;   ///< partial chunk under construction
   SampleVec sample_buf_;
   std::vector<WaitEdge> wait_buf_;

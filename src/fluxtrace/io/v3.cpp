@@ -62,38 +62,54 @@ std::size_t column_count_for(std::uint8_t type) {
 
 // --- encode -----------------------------------------------------------
 
-/// Shared payload builder: columns are already gathered; column 0 is the
-/// time column the zone hint summarizes.
-[[nodiscard]] std::string encode_compressed_payload(
-    const std::vector<std::vector<std::int64_t>>& cols) {
-  const auto& ts = cols[0];
-  std::int64_t min_ts = ts[0];
-  std::int64_t max_ts = ts[0];
-  for (std::int64_t v : ts) {
-    min_ts = std::min(min_ts, v);
-    max_ts = std::max(max_ts, v);
-  }
-  std::string payload;
-  app_u32(payload, 0); // flags: none defined yet
-  app_u64(payload, as_u64(min_ts));
-  app_u64(payload, as_u64(max_ts));
-  app_u8(payload, static_cast<std::uint8_t>(cols.size()));
-  for (std::size_t c = 0; c < cols.size(); ++c) {
-    const codec::EncodedColumn enc = codec::encode_column_best(cols[c]);
-    app_u8(payload, static_cast<std::uint8_t>(c));
-    app_u8(payload, static_cast<std::uint8_t>(enc.codec));
-    app_u32(payload, static_cast<std::uint32_t>(enc.bytes.size()));
-    app_u32(payload, crc32(enc.bytes.data(), enc.bytes.size()));
-    payload += enc.bytes;
-  }
-  return payload;
-}
-
 void check_chunk_count(std::size_t n) {
-  if (n == 0 || n > detail::kMaxRecordsPerChunk) {
+  if (n == 0 || n > kMaxChunkRecords) {
     throw std::invalid_argument(
         "v3 chunk record count out of range: " + std::to_string(n));
   }
+}
+
+/// One complete compressed chunk, framed in place in the buffer it
+/// returns. `fill(cols, stride)` writes the n records' columns in one
+/// pass over the records, column c at cols[c * stride, c * stride + n);
+/// column 0 is the time column the zone hint summarizes. `cols` and `enc`
+/// are the caller's reusable working memory.
+template <class Fill>
+[[nodiscard]] std::string encode_chunk(std::vector<std::int64_t>& cols,
+                                       codec::ColumnEncoder& enc,
+                                       std::uint8_t type, std::size_t n,
+                                       std::size_t n_cols, Fill fill) {
+  check_chunk_count(n);
+  // One cache line of skew per column: with a power-of-two n, columns
+  // exactly n apart would all map to the same cache sets, and the fill's
+  // column stores would evict each other.
+  const std::size_t stride = n + 8;
+  cols.resize(n_cols * stride);
+  fill(cols.data(), stride);
+  std::string b;
+  b.reserve(detail::kChunkHeaderBytes + kPayloadHeaderBytes +
+            n_cols * kColumnHeaderBytes + n * 8);
+  const std::size_t frame = detail::open_chunk(b);
+  const auto [min_ts, max_ts] = std::minmax_element(
+      cols.begin(), cols.begin() + static_cast<std::ptrdiff_t>(n));
+  app_u32(b, 0); // flags: none defined yet
+  app_u64(b, as_u64(*min_ts));
+  app_u64(b, as_u64(*max_ts));
+  app_u8(b, static_cast<std::uint8_t>(n_cols));
+  for (std::size_t c = 0; c < n_cols; ++c) {
+    app_u8(b, static_cast<std::uint8_t>(c));
+    const std::size_t head = b.size(); // codec | enc_bytes | enc_crc
+    const std::size_t body = head + kColumnHeaderBytes - 1;
+    b.resize(body);
+    const ColumnCodec codec =
+        enc.encode_best(std::span(cols.data() + c * stride, n), b);
+    const std::size_t len = b.size() - body;
+    b[head] = static_cast<char>(codec);
+    detail::put_u32(b, head + 1, static_cast<std::uint32_t>(len));
+    detail::put_u32(b, head + 5, crc32(b.data() + body, len));
+  }
+  detail::seal_chunk(b, frame, type, static_cast<std::uint32_t>(n));
+  return b;
 }
 
 // --- decode -----------------------------------------------------------
@@ -112,7 +128,7 @@ struct ColRef {
                                             std::size_t expect_cols,
                                             std::uint32_t n_records,
                                             ColRef* cols) {
-  if (n_records == 0 || n_records > detail::kMaxRecordsPerChunk) return false;
+  if (n_records == 0 || n_records > kMaxChunkRecords) return false;
   if (payload.size() < kPayloadHeaderBytes) return false;
   if (peek_u32(payload, 0) != 0) return false; // unknown flag bits
   if (peek_u8(payload, 20) != expect_cols) return false;
@@ -274,59 +290,69 @@ std::string encode_v3_file_header() {
   return header;
 }
 
+std::string V3ChunkEncoder::encode(const PebsSample* ss, std::size_t n) {
+  return encode_chunk(cols_, columns_, kChunkTypeSamplesC, n, kSampleCols,
+                      [ss, n](std::int64_t* cols, std::size_t stride) {
+                        for (std::size_t i = 0; i < n; ++i) {
+                          const PebsSample& s = ss[i];
+                          cols[i] = as_i64(s.tsc);
+                          cols[stride + i] = as_i64(s.ip);
+                          cols[2 * stride + i] = s.core;
+                          for (std::size_t r = 0; r < kNumRegs; ++r) {
+                            cols[(3 + r) * stride + i] = as_i64(s.regs.v[r]);
+                          }
+                        }
+                      });
+}
+
+std::string V3ChunkEncoder::encode(const Marker* ms, std::size_t n) {
+  return encode_chunk(cols_, columns_, kChunkTypeMarkersC, n, kMarkerCols,
+                      [ms, n](std::int64_t* cols, std::size_t stride) {
+                        for (std::size_t i = 0; i < n; ++i) {
+                          const Marker& m = ms[i];
+                          cols[i] = as_i64(m.tsc);
+                          cols[stride + i] = as_i64(m.item);
+                          cols[2 * stride + i] = m.core;
+                          cols[3 * stride + i] =
+                              static_cast<std::int64_t>(m.kind);
+                        }
+                      });
+}
+
+std::string V3ChunkEncoder::encode(const WaitEdge* es, std::size_t n) {
+  return encode_chunk(cols_, columns_, kChunkTypeWaitEdgesC, n, kWaitCols,
+                      [es, n](std::int64_t* cols, std::size_t stride) {
+                        for (std::size_t i = 0; i < n; ++i) {
+                          const WaitEdge& e = es[i];
+                          cols[i] = as_i64(e.enter);
+                          cols[stride + i] = as_i64(e.leave);
+                          cols[2 * stride + i] = as_i64(e.item);
+                          cols[3 * stride + i] = e.waiter_core;
+                          cols[4 * stride + i] = e.holder_core;
+                          cols[5 * stride + i] = e.resource;
+                          cols[6 * stride + i] =
+                              static_cast<std::int64_t>(e.cause);
+                        }
+                      });
+}
+
 std::string encode_sample_chunk_v3(const PebsSample* ss, std::size_t n) {
-  check_chunk_count(n);
-  std::vector<std::vector<std::int64_t>> cols(kSampleCols);
-  for (auto& c : cols) c.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    cols[0][i] = as_i64(ss[i].tsc);
-    cols[1][i] = as_i64(ss[i].ip);
-    cols[2][i] = static_cast<std::int64_t>(ss[i].core);
-    for (std::size_t r = 0; r < kNumRegs; ++r) {
-      cols[3 + r][i] = as_i64(ss[i].regs.v[r]);
-    }
-  }
-  return detail::make_chunk(kChunkTypeSamplesC, static_cast<std::uint32_t>(n),
-                            encode_compressed_payload(cols));
+  return V3ChunkEncoder{}.encode(ss, n);
 }
 
 std::string encode_marker_chunk_v3(const Marker* ms, std::size_t n) {
-  check_chunk_count(n);
-  std::vector<std::vector<std::int64_t>> cols(kMarkerCols);
-  for (auto& c : cols) c.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    cols[0][i] = as_i64(ms[i].tsc);
-    cols[1][i] = as_i64(ms[i].item);
-    cols[2][i] = static_cast<std::int64_t>(ms[i].core);
-    cols[3][i] = static_cast<std::int64_t>(ms[i].kind);
-  }
-  return detail::make_chunk(kChunkTypeMarkersC, static_cast<std::uint32_t>(n),
-                            encode_compressed_payload(cols));
+  return V3ChunkEncoder{}.encode(ms, n);
 }
 
 std::string encode_wait_chunk_v3(const WaitEdge* es, std::size_t n) {
-  check_chunk_count(n);
-  std::vector<std::vector<std::int64_t>> cols(kWaitCols);
-  for (auto& c : cols) c.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    cols[0][i] = as_i64(es[i].enter);
-    cols[1][i] = as_i64(es[i].leave);
-    cols[2][i] = as_i64(es[i].item);
-    cols[3][i] = static_cast<std::int64_t>(es[i].waiter_core);
-    cols[4][i] = static_cast<std::int64_t>(es[i].holder_core);
-    cols[5][i] = static_cast<std::int64_t>(es[i].resource);
-    cols[6][i] = static_cast<std::int64_t>(es[i].cause);
-  }
-  return detail::make_chunk(kChunkTypeWaitEdgesC,
-                            static_cast<std::uint32_t>(n),
-                            encode_compressed_payload(cols));
+  return V3ChunkEncoder{}.encode(es, n);
 }
 
 void write_trace_v3(std::ostream& os, const TraceData& data,
                     std::size_t records_per_chunk) {
   if (records_per_chunk == 0) records_per_chunk = 1;
   records_per_chunk =
-      std::min<std::size_t>(records_per_chunk, detail::kMaxRecordsPerChunk);
+      std::min<std::size_t>(records_per_chunk, kMaxChunkRecords);
   const auto check = [&os](const char* section) {
     if (os.good()) return;
     std::string msg = std::string("write failed (") + section + ")";
@@ -341,29 +367,21 @@ void write_trace_v3(std::ostream& os, const TraceData& data,
   const auto put = [&os](const std::string& chunk) {
     os.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
   };
-  for (std::size_t at = 0; at < data.markers.size();
-       at += records_per_chunk) {
-    const std::size_t n =
-        std::min(records_per_chunk, data.markers.size() - at);
-    put(encode_marker_chunk_v3(data.markers.data() + at, n));
-  }
+  V3ChunkEncoder enc;
+  const auto put_section = [&](const auto& recs) {
+    for (std::size_t at = 0; at < recs.size(); at += records_per_chunk) {
+      const std::size_t n = std::min(records_per_chunk, recs.size() - at);
+      put(enc.encode(recs.data() + at, n));
+    }
+  };
+  put_section(data.markers);
   check("marker chunks");
-  for (std::size_t at = 0; at < data.samples.size();
-       at += records_per_chunk) {
-    const std::size_t n =
-        std::min(records_per_chunk, data.samples.size() - at);
-    put(encode_sample_chunk_v3(data.samples.data() + at, n));
-  }
+  put_section(data.samples);
   check("sample chunks");
-  for (std::size_t at = 0; at < data.wait_edges.size();
-       at += records_per_chunk) {
-    const std::size_t n =
-        std::min(records_per_chunk, data.wait_edges.size() - at);
-    put(encode_wait_chunk_v3(data.wait_edges.data() + at, n));
-  }
+  put_section(data.wait_edges);
   check("wait-edge chunks");
   // Same torn-write sentinel as v2.
-  put(detail::make_chunk(kChunkTypeEof, 0, std::string{}));
+  put(encode_eof_chunk());
   os.flush();
   check("eof chunk");
 }

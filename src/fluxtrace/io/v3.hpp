@@ -30,8 +30,8 @@
 // engine CRC-checks the payload before trusting the hint; a chunk that
 // fails the check is decoded the hard way and salvage takes over).
 //
-// Hostile input: n_records is capped (detail::kMaxRecordsPerChunk)
-// before any allocation, every column codec rejects forged lengths and
+// Hostile input: n_records is capped (kMaxChunkRecords) before any
+// allocation, every column codec rejects forged lengths and
 // out-of-range dictionary indices (codec/column.hpp), and field ranges
 // (core ids, marker kinds, wait causes) are validated on decode exactly
 // as the v2 record decoders do.
@@ -74,12 +74,39 @@ inline constexpr std::uint8_t kChunkTypeWaitEdgesC = 6;
 /// salvage loss is already bounded by the CRC framing.
 inline constexpr std::size_t kDefaultChunkRecordsV3 = 4096;
 
-// --- streaming chunk encoders (mirror the v2 set in chunked.hpp) ------
+/// Hard per-chunk record cap, enforced on every decode of a compressed
+/// chunk (a raw chunk's count is already pinned by payload_bytes /
+/// record size; a compressed chunk's is not — without this cap a forged
+/// count with a valid CRC could demand an arbitrarily large allocation).
+/// Writers never cut a larger chunk.
+inline constexpr std::uint32_t kMaxChunkRecords = 1u << 20;
+
+// --- streaming chunk encoders -----------------------------------------
+// The byte-exact building blocks of the v3 layout, so a spooler
+// (io::ResilientWriter) can emit and fsync the file chunk-at-a-time: a
+// crash between chunks leaves a salvageable prefix, never a torn record.
 
 /// The 8-byte file prefix: magic + version=3.
 [[nodiscard]] std::string encode_v3_file_header();
+
+/// Compressed chunk encoder that keeps its column buffers from chunk to
+/// chunk, so a drain loop encoding one chunk per call allocates only the
+/// chunk it returns. Each call returns one complete chunk (frame header,
+/// CRCs, payload) for n records, n in [1, kMaxChunkRecords]; the bytes
+/// are those of the encode_*_chunk_v3 functions below.
+class V3ChunkEncoder {
+ public:
+  [[nodiscard]] std::string encode(const PebsSample* ss, std::size_t n);
+  [[nodiscard]] std::string encode(const Marker* ms, std::size_t n);
+  [[nodiscard]] std::string encode(const WaitEdge* es, std::size_t n);
+
+ private:
+  std::vector<std::int64_t> cols_; ///< the chunk's columns, one after another
+  codec::ColumnEncoder columns_;
+};
+
 /// One complete compressed sample/marker/wait-edge chunk for n records
-/// (n must be in [1, detail::kMaxRecordsPerChunk]).
+/// (n must be in [1, kMaxChunkRecords]).
 [[nodiscard]] std::string encode_sample_chunk_v3(const PebsSample* ss,
                                                  std::size_t n);
 [[nodiscard]] std::string encode_marker_chunk_v3(const Marker* ms,

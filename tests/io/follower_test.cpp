@@ -422,6 +422,13 @@ TEST(TraceFollower, ConcurrentWriterReaderUnderFaultPlan) {
   EXPECT_EQ(ws.chunks_committed,
             fs.chunks_consumed + fs.chunks_salvaged + (fs.eof_seen ? 1 : 0));
 
+  // The plan's faults really fired on both sides of the spool.
+  EXPECT_GT(plan.sink_transients(), 0u);
+  EXPECT_GT(plan.sink_stuck_hits(), 0u);
+  EXPECT_GT(plan.read_transients(), 0u);
+  EXPECT_GT(plan.read_short_hits(), 0u);
+  EXPECT_GT(ws.retries, 0u);
+
   // Every record the writer committed arrived, in order, exactly once.
   EXPECT_EQ(got.markers.size() + got.samples.size(), ws.records_committed);
   EXPECT_TRUE(std::equal(got.markers.begin(), got.markers.end(), ms.begin()));

@@ -2,8 +2,9 @@
 // test is threefold: (1) every record handed in is accounted exactly
 // once (committed / queue-dropped / sink-lost); (2) whatever reached the
 // sink — even mid-crash, even across short writes and retries — salvages
-// as intact v2 chunks with zero CRC failures; (3) persistent sink
-// failure opens the circuit breaker and fails over instead of looping.
+// as intact compressed v3 chunks with zero CRC failures; (3) persistent
+// sink failure opens the circuit breaker and fails over instead of
+// looping.
 #include "fluxtrace/io/resilient.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "fluxtrace/io/chunked.hpp"
+#include "fluxtrace/io/v3.hpp"
 
 namespace fluxtrace::io {
 namespace {
@@ -89,7 +91,7 @@ struct Harness {
   }
 };
 
-TEST(ResilientWriter, CleanSpoolIsAByteExactV2File) {
+TEST(ResilientWriter, CleanSpoolIsAByteExactV3File) {
   ResilientWriterConfig cfg;
   cfg.records_per_chunk = 8;
   Harness h(cfg);
@@ -106,12 +108,37 @@ TEST(ResilientWriter, CleanSpoolIsAByteExactV2File) {
   EXPECT_TRUE(st.reconciled());
   EXPECT_TRUE(st.closed_clean);
 
+  // Full chunks are cut as records arrive; close() flushes the partial
+  // marker chunk, then the partial sample chunk, then the sentinel.
+  std::string want = encode_v3_file_header();
+  want += encode_marker_chunk_v3(ms.data(), 8);
+  want += encode_marker_chunk_v3(ms.data() + 8, 8);
+  for (std::size_t at = 0; at < 32; at += 8) {
+    want += encode_sample_chunk_v3(ss.data() + at, 8);
+  }
+  want += encode_marker_chunk_v3(ms.data() + 16, 4);
+  want += encode_sample_chunk_v3(ss.data() + 32, 5);
+  want += encode_eof_chunk();
+  EXPECT_EQ(h.primary->bytes, want);
+
   const SalvageReport rep = salvage_trace(std::string_view(h.primary->bytes));
   EXPECT_TRUE(rep.clean());
-  EXPECT_EQ(rep.data.markers.size(), 20u);
-  EXPECT_EQ(rep.data.samples.size(), 37u);
+  EXPECT_EQ(rep.data.markers, ms);
+  EXPECT_EQ(rep.data.samples, ss);
   // fsync on every chunk boundary plus the eof sentinel.
   EXPECT_GE(h.primary->syncs, st.chunks_committed);
+}
+
+TEST(ResilientWriter, RecordsPerChunkIsClampedToTheV3Limit) {
+  // A compressed chunk holds at most kMaxChunkRecords records; a larger
+  // setting would make add_samples throw mid-capture once that many
+  // records had arrived, so the writer clamps it up front, as it clamps
+  // 0 to 1.
+  ResilientWriterConfig cfg;
+  cfg.records_per_chunk = std::size_t{kMaxChunkRecords} + 1;
+  EXPECT_EQ(Harness(cfg).w->config().records_per_chunk, kMaxChunkRecords);
+  cfg.records_per_chunk = 0;
+  EXPECT_EQ(Harness(cfg).w->config().records_per_chunk, 1u);
 }
 
 TEST(ResilientWriter, ShortWritesResumeWithoutDuplication) {

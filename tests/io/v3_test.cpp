@@ -158,8 +158,16 @@ TEST(TraceV3, MixedChunkFamilyOneFile) {
   // family. A spool that upgraded codecs mid-run stays readable.
   const TraceData a = rich_data(0, 100, 0, 7);
   const TraceData b = rich_data(0, 100, 0, 8);
+  // A's samples as one raw v2 chunk: a v2 image minus its 8-byte file
+  // header and its eof sentinel.
+  TraceData a_samples;
+  a_samples.samples = a.samples;
+  std::ostringstream v2;
+  write_trace_v2(v2, a_samples, a.samples.size());
+  const std::string raw = v2.str();
+  const std::string eof = encode_eof_chunk();
   std::string image = encode_v3_file_header();
-  image += encode_sample_chunk(a.samples.data(), a.samples.size());
+  image += raw.substr(8, raw.size() - 8 - eof.size());
   image += encode_sample_chunk_v3(b.samples.data(), b.samples.size());
   image += encode_eof_chunk();
   const TraceData got = open_trace_bytes(image).read();
@@ -169,6 +177,30 @@ TEST(TraceV3, MixedChunkFamilyOneFile) {
   want.samples.insert(want.samples.end(), b.samples.begin(),
                       b.samples.end());
   EXPECT_EQ(got.samples, want.samples);
+}
+
+TEST(TraceV3, ReusedEncoderMatchesFreshEncodes) {
+  // A spool keeps one encoder for its lifetime; its column buffers carry
+  // over from chunk to chunk, of any size and type, and must never leak
+  // into the bytes.
+  const TraceData data = rich_data(40, 3000, 25, 11);
+  V3ChunkEncoder enc;
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{7},
+                              std::size_t{1}, std::size_t{2048}}) {
+    EXPECT_EQ(enc.encode(data.samples.data() + 500, n),
+              encode_sample_chunk_v3(data.samples.data() + 500, n))
+        << n;
+    EXPECT_EQ(enc.encode(data.markers.data(), std::min(n, data.markers.size())),
+              encode_marker_chunk_v3(data.markers.data(),
+                                     std::min(n, data.markers.size())))
+        << n;
+    EXPECT_EQ(
+        enc.encode(data.wait_edges.data(), std::min(n, data.wait_edges.size())),
+        encode_wait_chunk_v3(data.wait_edges.data(),
+                             std::min(n, data.wait_edges.size())))
+        << n;
+  }
+  EXPECT_THROW((void)enc.encode(data.samples.data(), 0), std::invalid_argument);
 }
 
 TEST(TraceV3, ZoneHintMatchesChunkContents) {

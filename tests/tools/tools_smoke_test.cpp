@@ -12,6 +12,7 @@
 #include <fstream>
 
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "fluxtrace/apps/query_cache_app.hpp"
@@ -395,10 +396,53 @@ TEST_F(ToolsFixture, SessionHealsUnderChaosAndReconciles) {
   EXPECT_NE(out.find("clean-close=yes"), std::string::npos) << out;
   // Faulted writes really happened and were retried, not ignored.
   EXPECT_EQ(out.find("retries=0 "), std::string::npos) << out;
+  EXPECT_EQ(out.find("sink-transients=0 "), std::string::npos) << out;
+  EXPECT_EQ(out.find("sink-stuck-hits=0 "), std::string::npos) << out;
 
-  // The spool survived the chaos as a well-formed v2 trace.
+  // The spool survived the chaos as a well-formed compressed v3 trace.
   const std::string dump = run_capture(tool("flxt_dump") + " " + spool, &rc);
   EXPECT_EQ(rc, 0) << dump;
+  EXPECT_NE(dump.find("compression (v3 columns)"), std::string::npos) << dump;
+}
+
+TEST_F(ToolsFixture, SessionFailsOverWhenThePrimarySpoolFills) {
+  // The budget is sized for compressed v3 chunks (a few bytes a record):
+  // the primary must really run out of space mid-session, fail over,
+  // and leave a prefix that salvages with no damage.
+  const std::string spool = test::private_dir() + "/tools_session_full.flxt";
+  const std::string second =
+      test::private_dir() + "/tools_session_full_2nd.flxt";
+  int rc = -1;
+  std::string out = run_capture(tool("flxt_session") + " " + spool +
+                                    " --secondary " + second +
+                                    " --enospc-bytes 4K",
+                                &rc);
+  EXPECT_EQ(rc, 0) << out;
+  EXPECT_EQ(out.find("sink-enospc-hits=0"), std::string::npos) << out;
+  EXPECT_NE(out.find("failovers=1 "), std::string::npos) << out;
+  EXPECT_NE(out.find("reconciled: exact"), std::string::npos) << out;
+  EXPECT_NE(out.find("spool: active=" + second), std::string::npos) << out;
+  out = run_capture(tool("flxt_recover") + " " + spool, &rc);
+  EXPECT_EQ(rc, 0) << out;
+  EXPECT_NE(out.find(" 0 corrupt"), std::string::npos) << out;
+}
+
+TEST_F(ToolsFixture, SessionRejectsChunksLargerThanV3Allows) {
+  // A compressed chunk holds at most 2^20 records: a larger
+  // --chunk-records is bad usage up front, not a throw mid-capture.
+  const std::string spool = test::private_dir() + "/tools_session_big.flxt";
+  int rc = 0;
+  std::string out = run_capture(
+      tool("flxt_session") + " " + spool + " --chunk-records 2000000", &rc);
+  ASSERT_TRUE(WIFEXITED(rc)) << out;
+  EXPECT_EQ(WEXITSTATUS(rc), 2) << out;
+  EXPECT_NE(out.find("at most 1048576"), std::string::npos) << out;
+  EXPECT_NE(out.find("usage:"), std::string::npos) << out;
+  // The limit itself is accepted.
+  out = run_capture(tool("flxt_session") + " " + spool +
+                        " --queries 20 --chunk-records 1048576",
+                    &rc);
+  EXPECT_EQ(rc, 0) << out;
 }
 
 TEST_F(ToolsFixture, SessionRejectsInvalidNumericFlags) {

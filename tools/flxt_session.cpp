@@ -12,6 +12,9 @@
 //     [--sink-transient P] [--stuck-at N] [--stuck-for N]
 //     [--enospc-bytes N] [--crash-after N] [--telemetry FILE] [--metrics]
 //
+// The spool is compressed FLXT v3; --chunk-records is at most
+// io::kMaxChunkRecords (2^20), the largest chunk v3 admits.
+//
 // --crash-after N simulates kill -9 (immediate _Exit, no close, no eof
 // sentinel) once N chunks have committed — the fsynced prefix must then
 // salvage cleanly with flxt_recover.
@@ -78,6 +81,11 @@ int main(int argc, char** argv) try {
   tel.attach(cli);
   if (!cli.parse(1, 1)) return cli.usage();
 
+  if (chunk_records > io::kMaxChunkRecords) {
+    std::fprintf(stderr, "error: --chunk-records expects at most %u, got %zu\n",
+                 io::kMaxChunkRecords, chunk_records);
+    return cli.usage();
+  }
   io::OverflowPolicy overflow;
   if (std::strcmp(policy, "block") == 0) {
     overflow = io::OverflowPolicy::Block;
