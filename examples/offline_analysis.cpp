@@ -15,6 +15,7 @@
 #include "fluxtrace/core/integrator.hpp"
 #include "fluxtrace/io/symbols_file.hpp"
 #include "fluxtrace/io/trace_reader.hpp"
+#include "fluxtrace/io/v3.hpp"
 
 using namespace fluxtrace;
 
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
     io::TraceData data;
     data.markers = machine.marker_log().markers();
     data.samples = machine.pebs_driver().samples();
-    io::save_trace(path, data);
+    io::save_trace_v3(path, data);
     // The symbol table travels with the trace so the analysis host (or
     // the flxt_* tools, e.g. in the CI telemetry smoke job) can resolve
     // instruction pointers without re-running anything.

@@ -2,7 +2,7 @@
 // with round-robin dispatch and shallow worker rings so head-of-line
 // blocking actually stalls the dispatcher, record the wait edges the
 // probed channels capture alongside the markers and samples, save the
-// FLXT v2 container, and answer "why was item X slow" from the file
+// FLXT v3 container, and answer "why was item X slow" from the file
 // alone with the `critical_path` and `blocked_by` query stages.
 //
 // The run is fully deterministic (virtual time), which is why the CI
@@ -18,8 +18,8 @@
 
 #include "fluxtrace/acl/ruleset.hpp"
 #include "fluxtrace/apps/rss_firewall_app.hpp"
-#include "fluxtrace/io/chunked.hpp"
 #include "fluxtrace/io/symbols_file.hpp"
+#include "fluxtrace/io/v3.hpp"
 #include "fluxtrace/net/trafficgen.hpp"
 #include "fluxtrace/query/engine.hpp"
 #include "fluxtrace/query/render.hpp"
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   data.markers = m.marker_log().markers();
   data.samples = m.pebs_driver().samples();
   data.wait_edges = m.wait_log().edges();
-  io::save_trace_v2(path, data, /*records_per_chunk=*/256);
+  io::save_trace_v3(path, data, /*records_per_chunk=*/256);
   io::save_symbols(path + ".syms", symtab);
   std::printf("recorded %zu markers + %zu samples + %zu wait edges -> %s\n",
               data.markers.size(), data.samples.size(),

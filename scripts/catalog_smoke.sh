@@ -19,7 +19,7 @@ SYMS="$TMP/smoke.flxt.syms"
 CAT="$TMP/catalog"
 mkdir "$CAT"
 "$BUILD/tools/flxt_convert" "$TMP/smoke.flxt" "$CAT/member.flxt" \
-  --to-v2 --chunk-records 16 > /dev/null
+  --chunk-records 16 > /dev/null
 
 "$BUILD/tools/flxt_hub" ingest "$CAT" "$SYMS" | tee "$TMP/ingest.out"
 grep -q '1 registered' "$TMP/ingest.out"

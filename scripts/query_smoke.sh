@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI query smoke (ISSUE 5): record the deterministic example trace,
-# convert it to a multi-chunk FLXT v2 container, run the canned
+# re-chunk it into a multi-chunk FLXT v3 container, run the canned
 # flxt_query pipelines, and byte-diff each against its golden CSV in
 # tests/golden/. A second pass re-runs one selective query so the FLXI
 # sidecar written by the first pass must actually prune chunks — and
@@ -16,9 +16,9 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
 "$BUILD/examples/offline_analysis" "$TMP/smoke.flxt" > /dev/null
-"$BUILD/tools/flxt_convert" "$TMP/smoke.flxt" "$TMP/smoke_v2.flxt" \
-  --to-v2 --chunk-records 16 > /dev/null
-TRACE="$TMP/smoke_v2.flxt"
+"$BUILD/tools/flxt_convert" "$TMP/smoke.flxt" "$TMP/smoke_chunked.flxt" \
+  --chunk-records 16 > /dev/null
+TRACE="$TMP/smoke_chunked.flxt"
 SYMS="$TMP/smoke.flxt.syms"
 
 declare -A QUERIES=(
@@ -42,7 +42,7 @@ for name in group_func filter_item topk_items select_rows outliers; do
 done
 
 # Wait-graph leg (ISSUE 8): the deterministic head-of-line demo records
-# wait edges into a v2 container; critical_path must name the injected
+# wait edges into a v3 container; critical_path must name the injected
 # blocker (ring 10 held by core 2) byte-identically to the goldens.
 "$BUILD/examples/waitgraph_demo" "$TMP/wait.flxt" > /dev/null
 declare -A WAIT_QUERIES=(
@@ -78,6 +78,11 @@ diff -u "$GOLDEN/query_filter_item.csv" "$TMP/pruned.csv" || {
   echo "FAIL: pruned scan changed the output" >&2
   fail=1
 }
-grep -q 'index' "$TMP/pruned.stats" && echo "ok: pruned pass ($(cat "$TMP/pruned.stats"))"
+if grep -q '(index)' "$TMP/pruned.stats"; then
+  echo "ok: pruned pass ($(cat "$TMP/pruned.stats"))"
+else
+  echo "FAIL: second pass did not prune through the FLXI sidecar" >&2
+  fail=1
+fi
 
 exit "$fail"

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include "fluxtrace/io/trace_reader.hpp"
+#include "fluxtrace/io/v3.hpp"
 #include "fluxtrace/obs/metrics.hpp"
 #include "fluxtrace/obs/span.hpp"
 #include "fluxtrace/query/flxi.hpp"
@@ -59,6 +60,9 @@ bool ends_with(const std::string& s, std::string_view suffix) {
 bool is_trace_name(const std::string& name) {
   // .flxt2/.flxt3 are the conventional names for chunked spools (the
   // container is autodetected either way — this is only the dir filter).
+  // .flxz stays in the filter although nothing writes FLXZ anymore: a
+  // leftover member is then quarantined in the ledger, not silently
+  // ignored.
   return ends_with(name, ".flxt") || ends_with(name, ".flxz") ||
          ends_with(name, ".flxt2") || ends_with(name, ".flxt3");
 }
@@ -550,7 +554,7 @@ CompactReport Catalog::compact(std::uint64_t threshold_bytes,
   std::string seg_bytes;
   {
     std::ostringstream os;
-    io::write_trace_v2(os, all);
+    io::write_trace_v3(os, all);
     seg_bytes = std::move(os).str();
   }
   try {

@@ -169,7 +169,7 @@ class Catalog {
   RetainReport retain(std::uint64_t max_age_ns, std::uint64_t max_total_bytes);
 
   /// Merge every clean trace smaller than `threshold_bytes` (at least
-  /// `min_members` of them) into one consolidated v2 segment, staged
+  /// `min_members` of them) into one consolidated v3 segment, staged
   /// write-new → fsync → journal-commit → delete-old.
   CompactReport compact(std::uint64_t threshold_bytes,
                         std::size_t min_members = 2);

@@ -2,11 +2,10 @@
 
 #include <array>
 #include <bit>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,7 +40,7 @@ constexpr std::size_t kSampleBytes =
 constexpr std::size_t kWaitEdgeBytes =
     8 + 8 + 8 + 4 + 4 + 4 + 1; // enter+leave+item+waiter+holder+resource+cause
 
-// --- record encode/decode (v1 field layout) ---------------------------
+// --- record encode/decode (fixed-width little-endian) -----------------
 
 void encode_marker(std::string& b, const Marker& m) {
   app_u64(b, m.tsc);
@@ -131,12 +130,6 @@ bool decode_wait_edges(std::string_view payload, std::uint32_t n,
   return true;
 }
 
-std::string read_rest(std::istream& is) {
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return std::move(buf).str();
-}
-
 } // namespace
 
 void detail::seal_chunk(std::string& b, std::size_t at, std::uint8_t type,
@@ -213,9 +206,8 @@ std::string encode_eof_chunk() {
 void write_trace_v2(std::ostream& os, const TraceData& data,
                     std::size_t records_per_chunk) {
   if (records_per_chunk == 0) records_per_chunk = 1;
-  // As in write_trace: surface the failing section with the errno text
-  // instead of leaving a silently truncated file (save_trace_v2 appends
-  // the path).
+  // Surface the failing section with the errno text instead of leaving a
+  // silently truncated file (save_trace_v2 appends the path).
   const auto check = [&os](const char* section) {
     if (os.good()) return;
     std::string msg = std::string("write failed (") + section + ")";
@@ -254,10 +246,6 @@ void write_trace_v2(std::ostream& os, const TraceData& data,
   os.write(eof.data(), static_cast<std::streamsize>(eof.size()));
   os.flush();
   check("eof chunk");
-}
-
-SalvageReport salvage_trace(std::istream& is) {
-  return salvage_trace(std::string_view(read_rest(is)));
 }
 
 SalvageReport salvage_trace(std::string_view buf) {
@@ -342,22 +330,9 @@ SalvageReport salvage_trace(std::string_view buf) {
   return rep;
 }
 
-SalvageReport salvage_trace_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw TraceIoError("cannot open for reading: " + path + ": " +
-                       std::strerror(errno));
-  }
-  return salvage_trace(is);
-}
-
-TraceData read_trace_v2_body(std::istream& is) {
-  return read_trace_v2_body(std::string_view(read_rest(is)));
-}
-
 TraceData read_trace_v2_body(std::string_view body) {
   SalvageReport rep = salvage_trace(body);
-  rep.header_ok = true; // read_trace() already consumed and checked it
+  rep.header_ok = true; // TraceReader already checked the file header
   if (!rep.clean()) {
     std::string why = std::to_string(rep.chunks_corrupt) +
                       " corrupt chunks, " +
@@ -437,56 +412,6 @@ void decode_trace_v2_chunk(std::string_view file, const V2ChunkRef& ref,
     ok = decode_compressed_chunk(ref.type, payload, ref.n_records, out);
   }
   if (!ok) throw TraceIoError("malformed v2 chunk records");
-}
-
-void decode_trace_v2_samples_columnar(std::string_view file,
-                                      const V2ChunkRef& ref,
-                                      const SampleColumnSink& sink) {
-  if (ref.type != kChunkSamples) {
-    throw TraceIoError("columnar decode on a non-sample chunk");
-  }
-  if (ref.offset + kChunkHeaderBytes > file.size() ||
-      file.size() - ref.offset - kChunkHeaderBytes < ref.payload_bytes) {
-    throw TraceIoError("chunk ref outside the file image");
-  }
-  const std::string_view payload =
-      file.substr(ref.offset + kChunkHeaderBytes, ref.payload_bytes);
-  if (peek_u32(file, ref.offset + 17) !=
-      crc32(payload.data(), payload.size())) {
-    throw TraceIoError("v2 chunk payload CRC mismatch");
-  }
-  const std::uint32_t n = ref.n_records;
-  if (payload.size() != static_cast<std::size_t>(n) * kSampleBytes ||
-      sink.reg_index >= kNumRegs) {
-    throw TraceIoError("malformed v2 chunk records");
-  }
-  // Geometric growth, never an exact-fit reserve: reserve(size + n) per
-  // chunk would reallocate (and copy the whole accumulated column) on
-  // every chunk of a multi-chunk decode — O(chunks * rows) memcpy that
-  // once dominated the cold-open profile. Callers that know the total
-  // row count up front should pre-reserve it; this only backstops.
-  const auto grow = [](std::vector<std::int64_t>& v, std::size_t add) {
-    const std::size_t need = v.size() + add;
-    if (v.capacity() < need) v.reserve(std::max(need, v.capacity() * 2));
-    const std::size_t base = v.size();
-    v.resize(need);
-    return v.data() + base;
-  };
-  std::int64_t* tsc_out = grow(*sink.tsc, n);
-  std::int64_t* ip_out = grow(*sink.ip, n);
-  std::int64_t* core_out = grow(*sink.core, n);
-  std::int64_t* reg_out = sink.reg != nullptr ? grow(*sink.reg, n) : nullptr;
-  const std::size_t reg_off = 20 + std::size_t{sink.reg_index} * 8;
-  std::size_t at = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    tsc_out[i] = static_cast<std::int64_t>(peek_u64(payload, at));
-    ip_out[i] = static_cast<std::int64_t>(peek_u64(payload, at + 8));
-    core_out[i] = static_cast<std::int64_t>(peek_u32(payload, at + 16));
-    if (reg_out != nullptr) {
-      reg_out[i] = static_cast<std::int64_t>(peek_u64(payload, at + reg_off));
-    }
-    at += kSampleBytes;
-  }
 }
 
 void decode_trace_v2_samples_slice(std::string_view file,

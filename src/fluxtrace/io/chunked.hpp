@@ -1,9 +1,10 @@
-// Crash-safe trace persistence: the FLXT **v2 chunked** layout.
+// Crash-safe trace persistence: the FLXT CHNK chunk family, and its
+// **v2 raw** chunk types.
 //
-// The v1 container is a single monolithic stream — one torn write (a
-// crash mid-dump, a bit-rotted sector) poisons the whole file, and a
-// reader cannot even tell. v2 splits each stream into fixed-count record
-// chunks, each carrying its own CRC32-protected header and payload:
+// A monolithic dump lets one torn write (a crash mid-dump, a bit-rotted
+// sector) poison the whole file without the reader even noticing. The
+// chunk family splits each stream into record chunks, each carrying its
+// own CRC32-protected header and payload:
 //
 //   file   := u32 magic "FLXT" | u32 version=2 | chunk* | eof-chunk
 //   chunk  := u32 "CHNK" | u8 type (0=markers, 1=samples, 2=eof,
@@ -16,12 +17,15 @@
 // detector: without it, a crash that cut the file at an exact chunk
 // boundary would be indistinguishable from a complete shorter file.
 //
-// Records use the v1 field encoding (little-endian, fixed width), so an
-// intact chunk decodes byte-identically to what was written.
+// Raw chunks store fixed-width little-endian records, so an intact
+// chunk decodes byte-identically to what was written. fluxtrace writes
+// FLXT v3 (v3.hpp: the same framing, compressed chunk types); the raw
+// writer stays as the reference encoding the tests and benches build
+// raw-chunk fixtures with, and every reader still decodes raw chunks.
 //
-// Two readers:
-//   * read_trace() (trace_file.hpp) dispatches on the version field and
-//     parses v2 strictly — any damage throws TraceIoError;
+// Two readers, both over a whole file image:
+//   * read_trace_v2_body() parses strictly — any damage throws
+//     TraceIoError (io::TraceReader::read dispatches here);
 //   * salvage_trace() recovers every intact chunk from a truncated or
 //     corrupted file: damaged payloads are skipped and counted, damaged
 //     headers are resynchronized by scanning for the next chunk magic,
@@ -32,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -79,25 +84,15 @@ struct SalvageReport {
   }
 };
 
-/// Best-effort reader: recovers every chunk whose header and payload
-/// check out, skipping damage instead of throwing. Only unreadable input
-/// (a stream that cannot be consumed at all) throws TraceIoError; a
-/// completely destroyed file simply reports zero recovered chunks.
-[[nodiscard]] SalvageReport salvage_trace(std::istream& is);
-[[nodiscard]] SalvageReport salvage_trace_file(const std::string& path);
-
-/// Buffer-based salvage over a whole file image (the stream overload
-/// reads the stream to the end and delegates here). TraceReader uses
-/// this directly on its in-memory file bytes.
+/// Best-effort reader over a whole file image: recovers every chunk
+/// whose header and payload check out, skipping damage instead of
+/// throwing. A completely destroyed file simply reports zero recovered
+/// chunks.
 [[nodiscard]] SalvageReport salvage_trace(std::string_view buf);
 
-/// Strict v2 body parser used by read_trace() after the version field;
-/// throws TraceIoError on any damage. Exposed for the io layer, not a
-/// public entry point.
-[[nodiscard]] TraceData read_trace_v2_body(std::istream& is);
-
-/// Buffer-based strict v2 body parse (`body` = the bytes after the
-/// 8-byte magic + version header). io-internal, used by TraceReader.
+/// Strict parse of a chunked body (`body` = the bytes after the 8-byte
+/// magic + version header); throws TraceIoError on any damage.
+/// io-internal, used by TraceReader.
 [[nodiscard]] TraceData read_trace_v2_body(std::string_view body);
 
 // --- selective chunk access -------------------------------------------
@@ -137,30 +132,11 @@ struct V2ChunkRef {
 void decode_trace_v2_chunk(std::string_view file, const V2ChunkRef& ref,
                            TraceData& out);
 
-/// Column sink for decode_trace_v2_samples_columnar(): sample fields are
-/// appended straight into int64 columns, skipping the 148-byte
-/// PebsSample materialization entirely (the columnar store only ever
-/// reads ts/ip/core and, in register-id mode, one GPR — decoding the
-/// other 15 registers per record is pure waste on the query hot path).
-struct SampleColumnSink {
-  std::vector<std::int64_t>* tsc = nullptr;  ///< required
-  std::vector<std::int64_t>* ip = nullptr;   ///< required
-  std::vector<std::int64_t>* core = nullptr; ///< required
-  std::vector<std::int64_t>* reg = nullptr;  ///< optional: one GPR column
-  unsigned reg_index = 0;                    ///< which GPR fills `reg`
-};
-
-/// Decode one indexed *sample* chunk directly into columns. Identical
-/// validation to decode_trace_v2_chunk (payload CRC, size checks);
-/// throws TraceIoError on damage, a non-sample ref, or a ref that does
-/// not match `file`.
-void decode_trace_v2_samples_columnar(std::string_view file,
-                                      const V2ChunkRef& ref,
-                                      const SampleColumnSink& sink);
-
-/// Raw-pointer variant of the column sink for chunk-parallel decode: each
-/// worker writes its chunk's rows into a pre-sized disjoint slice of the
-/// shared columns, so no append coordination is needed.
+/// Column slice for chunk-parallel decode straight into int64 columns,
+/// skipping PebsSample materialization (the columnar store reads only
+/// ts/ip/core and, in register-id mode, one GPR). Each worker writes its
+/// chunk's rows into a pre-sized disjoint slice of the shared columns, so
+/// no append coordination is needed.
 struct SampleColumnSlice {
   std::int64_t* tsc = nullptr;  ///< required
   std::int64_t* ip = nullptr;   ///< required
@@ -170,8 +146,9 @@ struct SampleColumnSlice {
 };
 
 /// Decode one indexed raw *sample* chunk into a slice: writes exactly
-/// ref.n_records values at each non-null pointer. Same validation and
-/// errors as decode_trace_v2_samples_columnar. (The compressed-chunk
+/// ref.n_records values at each non-null pointer. Validates the payload
+/// CRC and record size; throws TraceIoError on damage, a non-sample ref,
+/// or a ref that does not match `file`. (The compressed-chunk
 /// counterpart is io::decode_v3_samples_into, v3.hpp.)
 void decode_trace_v2_samples_slice(std::string_view file,
                                    const V2ChunkRef& ref,

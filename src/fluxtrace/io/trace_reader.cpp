@@ -7,11 +7,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <optional>
-#include <sstream>
 
-#include "fluxtrace/io/compact.hpp"
-#include "fluxtrace/io/legacy.hpp"
+#include "fluxtrace/io/chunk_util.hpp"
 #include "fluxtrace/io/mmap_source.hpp"
 #include "fluxtrace/io/v3.hpp"
 #include "fluxtrace/obs/metrics.hpp"
@@ -21,44 +18,13 @@ namespace fluxtrace::io {
 
 namespace {
 
-std::uint32_t peek_u32(std::string_view b, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(
-             static_cast<std::uint8_t>(b[at + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
-
-// LEB128 probe for the FLXZ header, which (unlike FLXT's raw u32s) writes
-// its magic and version as varints. Advances `pos` past the value.
-std::optional<std::uint64_t> probe_varint(std::string_view b,
-                                          std::size_t& pos) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (pos < b.size() && shift < 64) {
-    const auto c = static_cast<std::uint8_t>(b[pos++]);
-    v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
-    if ((c & 0x80) == 0) return v;
-    shift += 7;
-  }
-  return std::nullopt;
-}
+using detail::peek_u32;
 
 TraceFormat detect(std::string_view bytes) {
   if (bytes.size() >= 8 && peek_u32(bytes, 0) == kTraceMagic) {
     const std::uint32_t version = peek_u32(bytes, 4);
-    if (version == kTraceVersion) return TraceFormat::FlxtV1;
     if (version == kTraceVersion2) return TraceFormat::FlxtV2;
     if (version == kTraceVersion3) return TraceFormat::FlxtV3;
-    return TraceFormat::Unknown;
-  }
-  std::size_t pos = 0;
-  const auto magic = probe_varint(bytes, pos);
-  const auto version = probe_varint(bytes, pos);
-  if (magic == kCompactMagic && version == kCompactVersion) {
-    return TraceFormat::Flxz;
   }
   return TraceFormat::Unknown;
 }
@@ -176,19 +142,7 @@ TraceData TraceReader::read() const {
                          std::to_string(whole.size()) + " of " +
                          std::to_string(view_.size()) + " bytes remain)");
     }
-    const std::string_view body =
-        whole.substr(std::min<std::size_t>(8, whole.size()));
-    switch (format_) {
-      case TraceFormat::FlxtV1: return read_trace_v1_body(body);
-      case TraceFormat::FlxtV2:
-      case TraceFormat::FlxtV3: return read_trace_v2_body(body);
-      case TraceFormat::Flxz: {
-        std::istringstream is{std::string(whole)};
-        return read_compact(is);
-      }
-      case TraceFormat::Unknown: break;
-    }
-    // Unknown format: reproduce the legacy read_trace() diagnostics.
+    if (is_chunked_format(format_)) return read_trace_v2_body(whole.substr(8));
     if (whole.size() >= 8 && peek_u32(whole, 0) == kTraceMagic) {
       throw TraceIoError("unsupported trace version " +
                          std::to_string(peek_u32(whole, 4)));
@@ -202,30 +156,15 @@ TraceData TraceReader::read() const {
 
 SalvageReport TraceReader::salvage() const {
   OBS_SPAN("io.salvage");
-  // Chunked formats recover chunk by chunk. Unknown bytes get the same
-  // scan: they may be a chunked file whose 8-byte header was destroyed,
-  // and the chunk-magic resync finds the surviving chunks regardless.
-  // A mapping the file shrank under is clamped to its still-backed
-  // prefix — salvage reports the clamped-off tail as truncated bytes.
-  if (is_chunked_format(format_) || format_ == TraceFormat::Unknown) {
-    bool shrank = false;
-    const std::string_view whole = safe_view(&shrank);
-    SalvageReport rep = salvage_trace(whole);
-    if (shrank) rep.bytes_truncated += view_.size() - whole.size();
-    return rep;
-  }
-  // v1 and FLXZ are monolithic streams with no internal checksums: any
-  // damage is unlocatable, so recovery is all-or-nothing.
-  SalvageReport rep;
-  rep.header_ok = true; // the format was recognized
-  try {
-    rep.data = read();
-    rep.eof_ok = true;
-    rep.chunks_ok = 1; // the single monolithic section, read in full
-  } catch (const TraceIoError&) {
-    rep.chunks_corrupt = 1;
-    rep.bytes_truncated = view_.size();
-  }
+  // Unknown bytes get the same chunk scan as a chunked file: they may be
+  // one whose 8-byte header was destroyed, and the chunk-magic resync
+  // finds the surviving chunks regardless. A mapping the file shrank
+  // under is clamped to its still-backed prefix — salvage reports the
+  // clamped-off tail as truncated bytes.
+  bool shrank = false;
+  const std::string_view whole = safe_view(&shrank);
+  SalvageReport rep = salvage_trace(whole);
+  if (shrank) rep.bytes_truncated += view_.size() - whole.size();
   return rep;
 }
 

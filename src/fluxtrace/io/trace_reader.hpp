@@ -1,17 +1,15 @@
-// The one way in: a format-autodetecting facade over every trace
-// container fluxtrace can persist (FLXT v1 monolithic, FLXT v2 chunked,
-// FLXZ compact). Callers stopped caring which writer produced a file the
-// moment three formats existed — open_trace() probes the leading bytes
-// and hands back a TraceReader that can
+// The one way in: a format-autodetecting facade over the FLXT chunk
+// family (docs/format.md) — v2 raw chunks and v3 compressed chunks, one
+// CHNK framing. open_trace() probes the leading bytes and hands back a
+// TraceReader that can
 //
 //   * read()            — strict parse, TraceIoError on any damage;
-//   * salvage()         — best-effort recovery, never throws on damage
-//                         (v2 recovers per chunk; v1/FLXZ are all-or-
-//                         nothing monolithic streams).
+//   * salvage()         — best-effort recovery chunk by chunk, never
+//                         throws on damage.
 //
-// The legacy free functions (read_trace / load_trace / read_compact /
-// load_compact) remain only as io-internal plumbing under this facade
-// (io/legacy.hpp).
+// Anything else — including the retired v1 monolithic and FLXZ compact
+// containers — opens as TraceFormat::Unknown: read() refuses it and
+// salvage() recovers only what a chunk-magic scan finds.
 #pragma once
 
 #include <cstdint>
@@ -31,18 +29,14 @@ class MmapByteSource;
 /// What the leading bytes of the file claim it is.
 enum class TraceFormat : std::uint8_t {
   Unknown, ///< no recognizable magic — read() throws, salvage() scans
-  FlxtV1,  ///< monolithic v1 container (trace_file.hpp)
   FlxtV2,  ///< CRC-chunked v2 container (chunked.hpp)
-  Flxz,    ///< compact varint container (compact.hpp); lossy GPRs
   FlxtV3,  ///< CRC-chunked, compressed columnar chunks (v3.hpp)
 };
 
 [[nodiscard]] constexpr std::string_view to_string(TraceFormat f) {
   switch (f) {
     case TraceFormat::Unknown: return "unknown";
-    case TraceFormat::FlxtV1: return "flxt-v1";
     case TraceFormat::FlxtV2: return "flxt-v2";
-    case TraceFormat::Flxz: return "flxz";
     case TraceFormat::FlxtV3: return "flxt-v3";
   }
   return "?";
@@ -79,10 +73,9 @@ class TraceReader {
   /// unrecognized format; errors carry the path when one is known.
   [[nodiscard]] TraceData read() const;
 
-  /// Best-effort recovery; never throws on damaged content. FLXT v2 (and
-  /// Unknown input, which may be a v2 file with a destroyed header)
-  /// recovers chunk by chunk; the monolithic v1/FLXZ formats parse
-  /// strictly and report either the full trace or nothing.
+  /// Best-effort recovery; never throws on damaged content. Recovers
+  /// chunk by chunk, Unknown input included (it may be a chunked file
+  /// with a destroyed header).
   [[nodiscard]] SalvageReport salvage() const;
 
   /// read() with the standard degraded-mode policy every

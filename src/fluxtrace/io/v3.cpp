@@ -399,6 +399,10 @@ void save_trace_v3(const std::string& path, const TraceData& data,
     throw TraceIoError(std::string(e.what()) + ": " + path);
   }
   os.close();
+  if (!os) {
+    throw TraceIoError("write failed (close): " + path + ": " +
+                       std::strerror(errno));
+  }
 }
 
 bool decode_compressed_chunk(std::uint8_t type, std::string_view payload,

@@ -318,7 +318,7 @@ QueryEngine QueryEngine::open(const std::string& path, SymbolTable symtab,
 QueryEngine QueryEngine::from_data(const io::TraceData& data,
                                    SymbolTable symtab, EngineOptions opts) {
   std::ostringstream os;
-  io::write_trace_v2(os, data);
+  io::write_trace_v3(os, data);
   return QueryEngine(io::open_trace_bytes(std::move(os).str()),
                      std::move(symtab), opts);
 }
@@ -971,9 +971,9 @@ QueryResult QueryEngine::finish_partials(const Query& q,
 void QueryEngine::ensure_wait_edges_loaded() {
   if (wait_loaded_) return;
   wait_loaded_ = true;
-  // Wait edges only exist in the chunked containers (v2 raw, v3
-  // compressed); v1/FLXZ traces simply have none (an empty graph, not an
-  // error).
+  // Wait edges only exist in chunk-family images (v2 raw, v3
+  // compressed); an unrecognized image simply has none (an empty graph,
+  // not an error).
   if (!io::is_chunked_format(reader_.format())) return;
   const std::string_view bytes = reader_.bytes();
   try {

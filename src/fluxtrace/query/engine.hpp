@@ -231,7 +231,7 @@ class QueryEngine {
                                         EngineOptions opts = {});
 
   /// Query an in-memory trace (tests, live captures). The data is
-  /// re-encoded into the v2 chunked image internally so pruning and the
+  /// re-encoded into an FLXT v3 image internally so pruning and the
   /// in-memory index behave exactly as for an on-disk trace.
   [[nodiscard]] static QueryEngine from_data(const io::TraceData& data,
                                              SymbolTable symtab,

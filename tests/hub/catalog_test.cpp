@@ -12,6 +12,7 @@
 
 #include <fstream>
 #include <set>
+#include <sstream>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -20,7 +21,9 @@
 #include "fluxtrace/io/trace_reader.hpp"
 #include "fluxtrace/io/v3.hpp"
 #include "fluxtrace/obs/metrics.hpp"
+#include "fluxtrace/query/federated.hpp"
 #include "fluxtrace/query/flxi.hpp"
+#include "fluxtrace/query/render.hpp"
 
 namespace fluxtrace::hub {
 namespace {
@@ -314,6 +317,84 @@ TEST_F(CatalogFixture, CompactMergesSmallTracesAndPreservesRows) {
   EXPECT_EQ(d.samples.size(), 48u);
   EXPECT_EQ(d.markers.size(), 16u);
   EXPECT_TRUE(cat.verify().clean());
+}
+
+/// Every pipeline's federated answer over the catalog's live members,
+/// as CSV.
+std::string federated_csv(const Catalog& cat, const SymbolTable& symtab) {
+  std::ostringstream os;
+  for (const char* pipeline :
+       {"group func: count, sum(dur)", "select ts, item | limit 9",
+        "outliers k=1.0 warmup=3"}) {
+    query::FederatedOptions fo;
+    fo.engine.threads = 1;
+    fo.fanout_threads = 1;
+    query::print_csv(
+        os, query::run_federated(cat.query_members(), symtab, pipeline, fo)
+                .result);
+  }
+  return std::move(os).str();
+}
+
+TEST_F(CatalogFixture, CompactingV3MembersDoesNotInflateTheCatalog) {
+  // The segment is written as v3 like its members, so merging never
+  // costs more bytes than the members it replaces, and the federated
+  // answers are the members' answers.
+  std::uint64_t member_bytes = 0;
+  for (std::size_t m = 0; m < 8; ++m) {
+    const std::string path = dir + "/m" + std::to_string(m) + ".flxt";
+    io::save_trace_v3(path, make_session(100 * m, 4, m + 1).data, 8);
+    struct stat st{};
+    ASSERT_EQ(::stat(path.c_str(), &st), 0);
+    member_bytes += static_cast<std::uint64_t>(st.st_size);
+  }
+  Catalog cat = Catalog::open(dir, symtab, opts());
+  ASSERT_EQ(cat.ingest().registered, 8u);
+  const std::string before = federated_csv(cat, symtab);
+
+  const CompactReport rep = cat.compact(/*threshold_bytes=*/1u << 20);
+  ASSERT_EQ(rep.members_merged, 8u);
+  const io::TraceReader seg = io::open_trace(rep.segment_path);
+  EXPECT_EQ(seg.format(), io::TraceFormat::FlxtV3);
+  EXPECT_LE(seg.size_bytes(), member_bytes);
+  EXPECT_EQ(federated_csv(cat, symtab), before);
+  EXPECT_TRUE(cat.verify().clean());
+}
+
+TEST_F(CatalogFixture, RetiredV1AndFlxzMembersAreQuarantined) {
+  // Nothing reads v1 or FLXZ anymore. A leftover file in either format
+  // stays in the ledger as quarantined — it never silently disappears.
+  const std::string v1 = dir + "/old.flxt";
+  const std::string flxz = dir + "/old.flxz";
+  {
+    std::ofstream os(v1, std::ios::binary);
+    // "FLXT", version 1, one marker, no samples, then the marker record
+    // (tsc u64, item u64, core u32, kind u8), all little-endian.
+    os.write("FLXT\x01\0\0\0\x01\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0", 24);
+    os.write("\xe8\x03\0\0\0\0\0\0\x07\0\0\0\0\0\0\0\0\0\0\0\0", 21);
+  }
+  {
+    std::ofstream os(flxz, std::ios::binary);
+    // LEB128 "FLXZ" magic and version 1, no marker or sample groups.
+    os.write("\xc6\x98\xe1\xd2\x05\x01\0\0", 8);
+  }
+  write_session("a.flxt", 0, 4);
+  Catalog cat = Catalog::open(dir, symtab, opts());
+  const IngestReport rep = cat.ingest();
+  EXPECT_EQ(rep.scanned, 3u);
+  EXPECT_EQ(rep.registered, 1u);
+  EXPECT_EQ(rep.quarantined, 2u);
+  for (const std::string& path : {v1, flxz}) {
+    ASSERT_EQ(cat.manifest().entries().count(path), 1u) << path;
+    EXPECT_EQ(cat.manifest().entries().at(path).state,
+              TraceState::Quarantined)
+        << path;
+  }
+  std::size_t quarantined_members = 0;
+  for (const query::FederatedTrace& m : cat.query_members()) {
+    quarantined_members += m.quarantined ? 1 : 0;
+  }
+  EXPECT_EQ(quarantined_members, 2u);
 }
 
 TEST_F(CatalogFixture, CompactCrashBeforeCommitRollsBackOnOpen) {

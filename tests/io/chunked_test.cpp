@@ -9,9 +9,7 @@
 
 #include <sstream>
 
-// These tests deliberately exercise the legacy read_trace() dispatch,
-// now io-internal plumbing (io/legacy.hpp) behind io::open_trace().
-#include "fluxtrace/io/legacy.hpp"
+#include "fluxtrace/io/trace_reader.hpp"
 
 namespace fluxtrace::io {
 namespace {
@@ -56,29 +54,24 @@ TEST(ChunkedTrace, Crc32KnownVectors) {
 }
 
 TEST(ChunkedTrace, EmptyRoundTrip) {
-  std::stringstream ss;
-  write_trace_v2(ss, TraceData{});
-  const SalvageReport rep = salvage_trace(ss);
+  const SalvageReport rep = salvage_trace(serialize_v2(TraceData{}, 64));
   EXPECT_TRUE(rep.clean());
   EXPECT_TRUE(rep.data.markers.empty());
   EXPECT_TRUE(rep.data.samples.empty());
 }
 
 TEST(ChunkedTrace, RoundTripThroughReadTrace) {
-  // read_trace() dispatches on the version field: a v2 file parses
+  // The reader dispatches on the version field: a raw v2 file parses
   // through the generic entry point.
   const TraceData d = sample_data(100, 300);
-  std::stringstream ss;
-  write_trace_v2(ss, d, 32);
-  EXPECT_EQ(read_trace(ss), d);
+  EXPECT_EQ(open_trace_bytes(serialize_v2(d, 32)).read(), d);
 }
 
 TEST(ChunkedTrace, RoundTripAtVariousChunkSizes) {
   const TraceData d = sample_data(50, 120, 9);
   for (const std::size_t per_chunk : {std::size_t{1}, std::size_t{7},
                                       std::size_t{50}, std::size_t{10000}}) {
-    std::stringstream ss(serialize_v2(d, per_chunk));
-    const SalvageReport rep = salvage_trace(ss);
+    const SalvageReport rep = salvage_trace(serialize_v2(d, per_chunk));
     EXPECT_TRUE(rep.clean()) << "per_chunk=" << per_chunk;
     EXPECT_EQ(rep.data, d) << "per_chunk=" << per_chunk;
   }
@@ -88,13 +81,13 @@ TEST(ChunkedTrace, SaveAndLoadFile) {
   const TraceData d = sample_data(30, 80);
   const std::string path = test::private_dir() + "/flxt_v2_test.trace";
   save_trace_v2(path, d);
-  const SalvageReport rep = salvage_trace_file(path);
+  const SalvageReport rep = open_trace(path).salvage();
   EXPECT_TRUE(rep.clean());
   EXPECT_EQ(rep.data, d);
 }
 
 TEST(ChunkedTrace, SalvageMissingFileThrows) {
-  EXPECT_THROW((void)salvage_trace_file("/nonexistent/dir/x.trace"),
+  EXPECT_THROW((void)open_trace("/nonexistent/dir/x.trace").salvage(),
                TraceIoError);
 }
 
@@ -106,8 +99,8 @@ TEST(ChunkedTrace, TruncationAtEveryByteSalvagesAllCompleteChunks) {
   const std::string bytes = serialize_v2(d, per_chunk);
 
   for (std::size_t keep = 0; keep <= bytes.size(); ++keep) {
-    std::istringstream cut(bytes.substr(0, keep));
-    const SalvageReport rep = salvage_trace(cut);
+    const SalvageReport rep =
+        salvage_trace(std::string_view(bytes).substr(0, keep));
 
     EXPECT_EQ(rep.chunks_corrupt, 0u) << "keep=" << keep;
     EXPECT_EQ(rep.bytes_skipped, 0u) << "keep=" << keep;
@@ -149,17 +142,15 @@ TEST(ChunkedTrace, SingleByteCorruptionNeverCrashesAndIsNeverSilent) {
     // Strict parse: throws or — if the flip landed in unread padding,
     // which this format has none of — returns identical data. It must
     // never return silently different data.
-    std::istringstream strict_in(mutated);
     try {
-      const TraceData back = read_trace(strict_in);
+      const TraceData back = open_trace_bytes(mutated).read();
       EXPECT_EQ(back, d) << "silent corruption at byte " << at;
     } catch (const TraceIoError&) {
       // expected for most offsets
     }
 
     // Salvage: never throws, recovers every chunk the flip missed.
-    std::istringstream salv_in(mutated);
-    const SalvageReport rep = salvage_trace(salv_in);
+    const SalvageReport rep = salvage_trace(mutated);
     EXPECT_FALSE(rep.clean()) << "at=" << at;
     // At most one chunk's records are missing from each stream.
     EXPECT_GE(rep.data.markers.size() + rep.data.samples.size() + 6,
@@ -190,8 +181,7 @@ TEST(ChunkedTrace, HeaderResyncRecoversChunksAfterTheDamage) {
   const std::size_t second = 8 + chunk_bytes;
   mutated[second] = 'X';
 
-  std::istringstream in(mutated);
-  const SalvageReport rep = salvage_trace(in);
+  const SalvageReport rep = salvage_trace(mutated);
   EXPECT_EQ(rep.chunks_ok, 2u);
   EXPECT_GE(rep.chunks_resynced, 1u);
   EXPECT_GT(rep.bytes_skipped, 0u);
@@ -203,8 +193,7 @@ TEST(ChunkedTrace, HeaderResyncRecoversChunksAfterTheDamage) {
 }
 
 TEST(ChunkedTrace, GarbageInputRecoversNothingWithoutThrowing) {
-  std::istringstream in(std::string(4096, '\x5a'));
-  const SalvageReport rep = salvage_trace(in);
+  const SalvageReport rep = salvage_trace(std::string(4096, '\x5a'));
   EXPECT_FALSE(rep.clean());
   EXPECT_FALSE(rep.header_ok);
   EXPECT_EQ(rep.chunks_ok, 0u);
@@ -216,8 +205,7 @@ TEST(ChunkedTrace, StrictReadOfDamagedFileThrows) {
   const TraceData d = sample_data(10, 10);
   std::string bytes = serialize_v2(d, 4);
   bytes.resize(bytes.size() - 5); // torn tail
-  std::istringstream in(bytes);
-  EXPECT_THROW((void)read_trace(in), TraceIoError);
+  EXPECT_THROW((void)open_trace_bytes(bytes).read(), TraceIoError);
 }
 
 // --- wait-edge chunks (type 3, ISSUE 8) -------------------------------
@@ -247,8 +235,8 @@ TEST(WaitEdgeChunk, RoundTripPreservesEveryField) {
   d.wait_edges = sample_waits(33);
   for (const std::size_t per_chunk :
        {std::size_t{1}, std::size_t{8}, std::size_t{10000}}) {
-    std::stringstream ss(serialize_v2(d, per_chunk));
-    EXPECT_EQ(read_trace(ss), d) << "per_chunk=" << per_chunk;
+    EXPECT_EQ(open_trace_bytes(serialize_v2(d, per_chunk)).read(), d)
+        << "per_chunk=" << per_chunk;
   }
 }
 
@@ -287,8 +275,7 @@ TEST(WaitEdgeChunk, CorruptWaitPayloadIsSkippedNotFatalToSalvage) {
     EXPECT_EQ(rep.data.wait_edges[i], d.wait_edges[4 + i]);
   }
   // The strict reader refuses the same damage outright.
-  std::istringstream in(image);
-  EXPECT_THROW((void)read_trace(in), TraceIoError);
+  EXPECT_THROW((void)open_trace_bytes(image).read(), TraceIoError);
 }
 
 TEST(WaitEdgeChunk, TruncationSalvagesCompleteWaitChunks) {

@@ -290,6 +290,31 @@ TEST(TraceV3, TruncationSalvagesPriorChunks) {
   EXPECT_FALSE(rep.eof_ok);
 }
 
+TEST(TraceV3, ForgedRecordCountIsRejected) {
+  // A compressed chunk's record count is not pinned by its payload size,
+  // so a forged count with valid CRCs must be refused by the cap, not
+  // trusted into an allocation.
+  TraceData data;
+  data.samples = rich_data(0, 16).samples;
+  std::string image = v3_image(data, 16);
+  const auto refs = index_trace_v2(image);
+  ASSERT_EQ(refs.size(), 1u);
+  const std::size_t at = static_cast<std::size_t>(refs[0].offset);
+  const std::uint32_t forged = kMaxChunkRecords + 1;
+  for (std::size_t i = 0; i < 4; ++i) {
+    image[at + 5 + i] = static_cast<char>(forged >> (8 * i));
+  }
+  const std::uint32_t header_crc = crc32(image.data() + at, 13);
+  for (std::size_t i = 0; i < 4; ++i) {
+    image[at + 13 + i] = static_cast<char>(header_crc >> (8 * i));
+  }
+  const TraceReader r = open_trace_bytes(image);
+  EXPECT_THROW((void)r.read(), TraceIoError);
+  const SalvageReport rep = r.salvage();
+  EXPECT_EQ(rep.chunks_corrupt, 1u);
+  EXPECT_TRUE(rep.data.samples.empty());
+}
+
 TEST(TraceV3, HostileBitFlipsNeverCrashReader) {
   const TraceData data = rich_data(32, 256, 16);
   const std::string image = v3_image(data, 64);

@@ -520,18 +520,5 @@ TEST(ColumnarOpenTest, OpenSalvagesDamagedFiles) {
   std::remove(path.c_str());
 }
 
-TEST(QueryEngineTest, V1TracesQueryWithoutChunkStats) {
-  const Workload w = make_workload(4, 6);
-  const std::string path = test::private_dir() + "/query_v1.flxt";
-  io::save_trace(path, w.data);
-  QueryEngine eng = QueryEngine::open(path, w.symtab);
-  const QueryResult res = eng.run("group item: count");
-  EXPECT_EQ(res.rows.size(), 4u);
-  EXPECT_EQ(res.stats.chunks_total, 0u);
-  EXPECT_FALSE(res.stats.index_used);
-  std::remove(path.c_str());
-  std::remove(flxi_path(path).c_str());
-}
-
 } // namespace
 } // namespace fluxtrace::query

@@ -1,31 +1,22 @@
-// flxt_convert — convert between the fluxtrace trace containers,
-// printing the size ratio. Input format is autodetected (FLXT v1, FLXT
-// v2 chunked, FLXZ compact); the output format is chosen by flag. The
-// compact format keeps everything the analyses read (timestamps, ips,
-// cores, R13) at a fraction of the bytes — the practical answer to
-// §IV-C3's data-volume concern when raw streams must be retained.
+// flxt_convert — rewrite a trace as FLXT v3 (compressed columnar chunks,
+// docs/format.md), printing the size ratio. The input may be any file of
+// the chunk family: a raw v2 trace written by an earlier version, or a v3
+// trace to re-chunk.
 //
-//   flxt_convert <in> <out> --to-compact        any input -> FLXZ
-//   flxt_convert <in> <out> --to-full           any input -> FLXT v1
-//   flxt_convert <in> <out> --to-v2             any input -> FLXT v2
-//   flxt_convert <in> <out> --to-v3             any input -> FLXT v3
-//                                               (compressed columnar
-//                                               chunks, docs/format.md)
-//   flxt_convert <in> <out> --to-v2 --chunk-records N
-//                                               v2/v3 with N records per
-//                                               chunk (smaller chunks =
-//                                               finer flxt_query pruning)
-//   flxt_convert <in> <out> --to-full --salvage damaged input: convert
-//                                               whatever is recoverable
+//   flxt_convert <in> <out>                     any chunked input -> v3
+//   flxt_convert <in> <out> --chunk-records N   N records per chunk
+//                                               (smaller chunks = finer
+//                                               flxt_query pruning; at
+//                                               most io::kMaxChunkRecords)
+//
+// Damaged input is refused; flxt_recover salvages and rewrites it.
 #include <cstdio>
 #include <fstream>
 #include <string>
 
 #include "cli.hpp"
-#include "fluxtrace/io/chunked.hpp"
-#include "fluxtrace/io/compact.hpp"
-#include "fluxtrace/io/v3.hpp"
 #include "fluxtrace/io/trace_reader.hpp"
+#include "fluxtrace/io/v3.hpp"
 
 using namespace fluxtrace;
 
@@ -41,27 +32,16 @@ std::uint64_t file_size(const char* path) {
 int main(int argc, char** argv) try {
   tools::Cli cli(argc, argv,
                  std::string("usage: ") + argv[0] +
-                     " <in> <out> --to-compact|--to-full|--to-v2|--to-v3 "
-                     "[--chunk-records N] [--salvage] [--telemetry FILE] "
+                     " <in> <out> [--chunk-records N] [--telemetry FILE] "
                      "[--metrics] [--version]");
-  bool to_compact = false;
-  bool to_full = false;
-  bool to_v2 = false;
-  bool to_v3 = false;
-  bool salvage = false;
-  unsigned chunk_records = 0;
-  cli.flag("--to-compact", &to_compact);
-  cli.flag("--to-full", &to_full);
-  cli.flag("--to-v2", &to_v2);
-  cli.flag("--to-v3", &to_v3);
-  cli.flag("--salvage", &salvage);
-  cli.flag_uint("--chunk-records", &chunk_records);
+  std::size_t chunk_records = io::kDefaultChunkRecordsV3;
+  cli.flag_count_pos("--chunk-records", &chunk_records);
   tools::Telemetry tel;
   tel.attach(cli);
   if (!cli.parse(2, 2)) return cli.usage();
-  if (static_cast<int>(to_compact) + static_cast<int>(to_full) +
-          static_cast<int>(to_v2) + static_cast<int>(to_v3) !=
-      1) {
+  if (chunk_records > io::kMaxChunkRecords) {
+    std::fprintf(stderr, "error: --chunk-records expects at most %u, got %zu\n",
+                 io::kMaxChunkRecords, chunk_records);
     return cli.usage();
   }
   tel.start();
@@ -69,33 +49,8 @@ int main(int argc, char** argv) try {
   const char* out = cli.pos(1);
 
   try {
-    const io::TraceReader reader = io::open_trace(in);
-    io::TraceData data;
-    if (salvage) {
-      io::SalvageReport rep = reader.salvage();
-      std::printf("salvage: %zu chunks ok, %zu corrupt, %zu resynced, "
-                  "%llu bytes skipped, %llu bytes truncated%s\n",
-                  rep.chunks_ok, rep.chunks_corrupt, rep.chunks_resynced,
-                  static_cast<unsigned long long>(rep.bytes_skipped),
-                  static_cast<unsigned long long>(rep.bytes_truncated),
-                  rep.clean() ? " (file was clean)" : "");
-      data = std::move(rep.data);
-    } else {
-      data = reader.read();
-    }
-    if (to_compact) {
-      io::save_compact(out, data);
-    } else if (to_v2) {
-      io::save_trace_v2(out, data,
-                        chunk_records > 0 ? chunk_records
-                                          : io::kDefaultChunkRecords);
-    } else if (to_v3) {
-      io::save_trace_v3(out, data,
-                        chunk_records > 0 ? chunk_records
-                                          : io::kDefaultChunkRecordsV3);
-    } else {
-      io::save_trace(out, data);
-    }
+    const io::TraceData data = io::open_trace(in).read();
+    io::save_trace_v3(out, data, chunk_records);
     const std::uint64_t in_sz = file_size(in);
     const std::uint64_t out_sz = file_size(out);
     std::printf("%s (%llu bytes) -> %s (%llu bytes), ratio %.2fx\n", in,

@@ -1,6 +1,6 @@
-// flxt_dump — inspect a fluxtrace binary trace file. Any container the
-// io::TraceReader facade understands (FLXT v1/v2/v3, FLXZ compact)
-// works. For a v3 compressed-columnar trace the footer also reports
+// flxt_dump — inspect a fluxtrace binary trace file: any file of the
+// FLXT chunk family (v2 raw or v3 compressed chunks) the
+// io::TraceReader facade opens. For a v3 trace the footer also reports
 // per-column raw vs. encoded bytes and which codec carried each column
 // (docs/format.md).
 //
@@ -26,10 +26,31 @@
 #include "fluxtrace/core/attribution.hpp"
 #include "fluxtrace/io/trace_reader.hpp"
 #include "fluxtrace/io/v3.hpp"
+#include "fluxtrace/report/csv.hpp"
 
 using namespace fluxtrace;
 
 namespace {
+
+// CSV export: one stream per call, RFC-4180 cells, header row included.
+void write_markers_csv(std::ostream& os, const std::vector<Marker>& markers) {
+  report::CsvWriter w(os);
+  w.header({"tsc", "item", "core", "kind"});
+  for (const Marker& m : markers) {
+    w.row({std::to_string(m.tsc), std::to_string(m.item),
+           std::to_string(m.core),
+           m.kind == MarkerKind::Enter ? "enter" : "leave"});
+  }
+}
+
+void write_samples_csv(std::ostream& os, const SampleVec& samples) {
+  report::CsvWriter w(os);
+  w.header({"tsc", "ip", "core", "r13"});
+  for (const PebsSample& s : samples) {
+    w.row({std::to_string(s.tsc), std::to_string(s.ip),
+           std::to_string(s.core), std::to_string(s.regs.get(Reg::R13))});
+  }
+}
 
 // Pair markers with the attribution kernel's strict rule and classify
 // everything that does not pair. An item is "clean" when every one of
@@ -191,9 +212,9 @@ int main(int argc, char** argv) try {
 
   if (csv != nullptr) {
     if (std::strcmp(csv, "markers") == 0) {
-      io::write_markers_csv(std::cout, data.markers);
+      write_markers_csv(std::cout, data.markers);
     } else if (std::strcmp(csv, "samples") == 0) {
-      io::write_samples_csv(std::cout, data.samples);
+      write_samples_csv(std::cout, data.samples);
     } else {
       return cli.usage();
     }

@@ -2,9 +2,9 @@
 // sector). Chunked input (FLXT v2 raw or v3 compressed — one chunk
 // family) recovers every chunk whose header, payload, and per-column
 // CRCs check out — even when the file header itself is destroyed — and
-// rewrites them as a clean v2 file; damage is reported, never silently
+// rewrites them as a clean v3 file; damage is reported, never silently
 // returned as data, and a damaged compressed column costs only its own
-// chunk. Monolithic formats (v1, FLXZ) recover all-or-nothing.
+// chunk.
 //
 //   flxt_recover <damaged> [<out>]     report only, or also write <out>
 //   flxt_recover <trace> <symbols> --rebuild-index [--regs]
@@ -21,6 +21,7 @@
 #include "cli.hpp"
 #include "fluxtrace/io/symbols_file.hpp"
 #include "fluxtrace/io/trace_reader.hpp"
+#include "fluxtrace/io/v3.hpp"
 #include "fluxtrace/query/flxi.hpp"
 
 using namespace fluxtrace;
@@ -92,7 +93,7 @@ int main(int argc, char** argv) try {
 
   if (cli.n_pos() == 2) {
     try {
-      io::save_trace_v2(cli.pos(1), rep.data);
+      io::save_trace_v3(cli.pos(1), rep.data);
     } catch (const io::TraceIoError& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 1;
