@@ -106,8 +106,8 @@ double cold_open_ms(const std::string& path, const SymbolTable& symtab,
   double best = 1e30;
   for (int run = 0; run < kTimedRuns; ++run) {
     const auto t0 = std::chrono::steady_clock::now();
-    const query::ColumnarTrace ct =
-        query::ColumnarTrace::open(path, symtab, {}, threads);
+    const query::ColumnarTrace ct = query::ColumnarTrace::from_reader(
+        io::open_trace(path), symtab, {}, threads);
     best = std::min(best, ms_since(t0));
     require(!ct.salvaged(), "cold open of an undamaged file never salvages");
     *rows_out = ct.rows();
@@ -179,10 +179,10 @@ int main() {
           "both paths build every row");
   {
     // Column-level identity of the two stores.
-    const query::ColumnarTrace c2 =
-        query::ColumnarTrace::open(p2, w.symtab, {}, 1);
-    const query::ColumnarTrace c3 =
-        query::ColumnarTrace::open(p3, w.symtab, {}, hw ? hw : 1);
+    const query::ColumnarTrace c2 = query::ColumnarTrace::from_reader(
+        io::open_trace(p2), w.symtab, {}, 1);
+    const query::ColumnarTrace c3 = query::ColumnarTrace::from_reader(
+        io::open_trace(p3), w.symtab, {}, hw ? hw : 1);
     for (std::size_t f = 0; f < query::kNumFields; ++f) {
       const auto a = c2.col(static_cast<query::Field>(f));
       const auto b = c3.col(static_cast<query::Field>(f));

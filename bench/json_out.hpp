@@ -1,9 +1,11 @@
 // Machine-readable benchmark results (ISSUE 3, satellite). Every entry
 // is {name, iters, ns_per_op, p99_ns}; p99_ns is null when the bench
-// has no per-iteration latency distribution to quote. An optional "host"
-// object records facts about the machine the numbers came from. The file lands in
-// the working directory as BENCH_<name>.json so CI and scripts can diff
-// runs without scraping console tables.
+// has no per-iteration latency distribution to quote. The "host" object
+// records facts about the machine and build the numbers came from —
+// always the build type (FLUXTRACE_BUILD_TYPE, which bench/CMakeLists.txt
+// sets from CMAKE_BUILD_TYPE). The file lands in the working directory
+// as BENCH_<name>.json so CI and scripts can diff runs without scraping
+// console tables.
 #pragma once
 
 #include <cstdio>
@@ -11,13 +13,19 @@
 #include <utility>
 #include <vector>
 
+#ifndef FLUXTRACE_BUILD_TYPE
+#define FLUXTRACE_BUILD_TYPE "none"
+#endif
+
 namespace fluxtrace::bench {
 
 class BenchJson {
  public:
   /// Results will be written to "BENCH_<name>.json".
   explicit BenchJson(const std::string& name)
-      : path_("BENCH_" + name + ".json") {}
+      : path_("BENCH_" + name + ".json") {
+    host("build_type", std::string(FLUXTRACE_BUILD_TYPE));
+  }
 
   /// `p99_ns < 0` means "not measured" and serializes as null.
   void add(const std::string& name, double iters, double ns_per_op,
@@ -27,7 +35,14 @@ class BenchJson {
 
   /// One numeric fact about the host, written under "host".
   void host(const std::string& key, double value) {
-    host_.push_back({key, value});
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.3f", value);
+    host_.push_back({key, buf});
+  }
+
+  /// One text fact about the host (a build type, a revision).
+  void host(const std::string& key, const std::string& value) {
+    host_.push_back({key, "\"" + escaped(value) + "\""});
   }
 
   /// Write the file; false (with a stderr note) on I/O failure.
@@ -37,15 +52,12 @@ class BenchJson {
       std::fprintf(stderr, "warning: cannot write %s\n", path_.c_str());
       return false;
     }
-    std::fprintf(f, "{");
-    if (!host_.empty()) {
-      std::fprintf(f, "\"host\":{");
-      for (std::size_t i = 0; i < host_.size(); ++i) {
-        std::fprintf(f, "%s\"%s\":%.3f", i > 0 ? "," : "",
-                     escaped(host_[i].first).c_str(), host_[i].second);
-      }
-      std::fprintf(f, "},\n");
+    std::fprintf(f, "{\"host\":{");
+    for (std::size_t i = 0; i < host_.size(); ++i) {
+      std::fprintf(f, "%s\"%s\":%s", i > 0 ? "," : "",
+                   escaped(host_[i].first).c_str(), host_[i].second.c_str());
     }
+    std::fprintf(f, "},\n");
     std::fprintf(f, "\"benchmarks\":[\n");
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];
@@ -83,7 +95,8 @@ class BenchJson {
 
   std::string path_;
   std::vector<Entry> entries_;
-  std::vector<std::pair<std::string, double>> host_;
+  /// key -> the value already rendered as JSON
+  std::vector<std::pair<std::string, std::string>> host_;
 };
 
 } // namespace fluxtrace::bench

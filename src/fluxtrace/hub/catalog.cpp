@@ -133,7 +133,8 @@ bool file_matches_entry(const std::string& path, const TraceEntry& e) {
   if (static_cast<std::uint64_t>(st.st_size) != e.size_bytes) return false;
   try {
     const io::TraceReader r = io::open_trace(path);
-    return io::crc32(r.bytes().data(), r.bytes().size()) == e.crc;
+    const std::string_view image = r.bytes();
+    return io::crc32(image.data(), image.size()) == e.crc;
   } catch (const io::TraceIoError&) {
     return false;
   }
@@ -290,8 +291,9 @@ IngestReport Catalog::ingest() {
       }
       try {
         const io::TraceReader reader = io::open_trace(path);
+        const std::string_view image = reader.bytes();
         file_size = reader.size_bytes();
-        file_crc = io::crc32(reader.bytes().data(), reader.bytes().size());
+        file_crc = io::crc32(image.data(), image.size());
         triage = io::classify_trace(reader);
         read_ok = true;
         break;
@@ -341,7 +343,7 @@ IngestReport Catalog::ingest() {
     e.size_bytes = file_size;
     e.crc = file_crc;
     e.ingested_at_ns = opts_.now_ns();
-    e.rows = triage.report.data.samples.size();
+    e.rows = triage.rows;
     e.chunks_ok = triage.report.chunks_ok;
     e.chunks_corrupt = triage.report.chunks_corrupt;
     e.bytes_lost =

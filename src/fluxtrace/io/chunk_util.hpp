@@ -10,6 +10,8 @@
 #include <string>
 #include <string_view>
 
+#include "fluxtrace/io/chunked.hpp"
+
 namespace fluxtrace::io::detail {
 
 /// CHNK frame header: magic + type + count + size + header/payload CRCs.
@@ -104,5 +106,10 @@ inline std::size_t open_chunk(std::string& b) {
 /// byte of `b` after the header. Implemented in chunked.cpp.
 void seal_chunk(std::string& b, std::size_t at, std::uint8_t type,
                 std::uint32_t n_records);
+
+/// The payload of an indexed chunk, bounds- and CRC-checked against the
+/// file image. Throws TraceIoError. Implemented in chunked.cpp.
+[[nodiscard]] std::string_view chunk_payload(std::string_view file,
+                                             const V2ChunkRef& ref);
 
 } // namespace fluxtrace::io::detail

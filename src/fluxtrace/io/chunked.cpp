@@ -371,7 +371,9 @@ std::vector<V2ChunkRef> index_trace_v2(std::string_view file) {
       throw TraceIoError("truncated v2 chunk payload");
     }
     if (type == kChunkEof) {
-      if (n_records != 0 || payload_bytes != 0) {
+      // The empty payload's CRC is 0; salvage refuses any other sentinel.
+      if (n_records != 0 || payload_bytes != 0 ||
+          peek_u32(file, pos + 17) != 0) {
         throw TraceIoError("malformed v2 eof sentinel");
       }
       saw_eof = true;
@@ -389,18 +391,27 @@ std::vector<V2ChunkRef> index_trace_v2(std::string_view file) {
   return out;
 }
 
-void decode_trace_v2_chunk(std::string_view file, const V2ChunkRef& ref,
-                           TraceData& out) {
-  if (ref.offset + kChunkHeaderBytes > file.size() ||
-      file.size() - ref.offset - kChunkHeaderBytes < ref.payload_bytes) {
-    throw TraceIoError("chunk ref outside the file image");
+std::string_view detail::chunk_payload(std::string_view file,
+                                       const V2ChunkRef& ref) {
+  if (ref.offset > file.size() ||
+      file.size() - ref.offset <
+          kChunkHeaderBytes + static_cast<std::size_t>(ref.payload_bytes)) {
+    throw TraceIoError("chunk ref outside file at offset " +
+                       std::to_string(ref.offset));
   }
   const std::string_view payload =
       file.substr(ref.offset + kChunkHeaderBytes, ref.payload_bytes);
-  if (peek_u32(file, ref.offset + 17) !=
-      crc32(payload.data(), payload.size())) {
-    throw TraceIoError("v2 chunk payload CRC mismatch");
+  if (crc32(payload.data(), payload.size()) !=
+      peek_u32(file, ref.offset + 17)) {
+    throw TraceIoError("payload CRC mismatch at offset " +
+                       std::to_string(ref.offset));
   }
+  return payload;
+}
+
+void decode_trace_v2_chunk(std::string_view file, const V2ChunkRef& ref,
+                           TraceData& out) {
+  const std::string_view payload = detail::chunk_payload(file, ref);
   bool ok = false;
   if (ref.type == kChunkMarkers) {
     ok = decode_markers(payload, ref.n_records, out.markers);
@@ -420,16 +431,7 @@ void decode_trace_v2_samples_slice(std::string_view file,
   if (ref.type != kChunkSamples) {
     throw TraceIoError("columnar decode on a non-sample chunk");
   }
-  if (ref.offset + kChunkHeaderBytes > file.size() ||
-      file.size() - ref.offset - kChunkHeaderBytes < ref.payload_bytes) {
-    throw TraceIoError("chunk ref outside the file image");
-  }
-  const std::string_view payload =
-      file.substr(ref.offset + kChunkHeaderBytes, ref.payload_bytes);
-  if (peek_u32(file, ref.offset + 17) !=
-      crc32(payload.data(), payload.size())) {
-    throw TraceIoError("v2 chunk payload CRC mismatch");
-  }
+  const std::string_view payload = detail::chunk_payload(file, ref);
   const std::uint32_t n = ref.n_records;
   if (payload.size() != static_cast<std::size_t>(n) * kSampleBytes ||
       out.reg_index >= kNumRegs) {

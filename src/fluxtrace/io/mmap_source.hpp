@@ -6,11 +6,11 @@
 //
 // Mapped files can shrink underneath the mapping (a rotation, a
 // truncate-and-rewrite): pages wholly past the new end-of-file fault
-// SIGBUS on touch. current_size()/shrunk() let the reader detect this
-// before touching anything — the strict read path refuses a shrunk
-// mapping, the salvage path clamps itself to the still-backed prefix
-// (every byte below the current size lives in a page the file still
-// covers).
+// SIGBUS on touch. current_size() lets TraceReader::bytes() clamp every
+// walk to the still-backed prefix before touching anything (every byte
+// below the current size lives in a page the file still covers): the
+// strict read refuses a shrunk mapping, and every other walk fails on
+// the missing tail and salvages the prefix.
 //
 // map() returns null whenever the platform cannot produce a useful
 // mapping — empty file (mmap of length 0 is EINVAL), exotic filesystem,
@@ -39,7 +39,8 @@ class MmapByteSource final : public ByteSource {
   MmapByteSource& operator=(const MmapByteSource&) = delete;
 
   /// The mapped image as of map() time. Stable for the source's lifetime;
-  /// bytes past current_size() must not be touched (see shrunk()).
+  /// bytes past current_size() are no longer backed and must not be
+  /// touched.
   [[nodiscard]] std::string_view view() const {
     return {static_cast<const char*>(addr_), len_};
   }
@@ -47,10 +48,6 @@ class MmapByteSource final : public ByteSource {
   /// The file's size right now (fstat on the kept descriptor); 0 when the
   /// file vanished. Growth past the mapping is invisible to view().
   [[nodiscard]] std::size_t current_size() const;
-
-  /// True when the file is now smaller than the mapping — view() bytes at
-  /// and past current_size() are no longer backed.
-  [[nodiscard]] bool shrunk() const { return current_size() < len_; }
 
   // ByteSource (follower-style polling over the mapping). read_at serves
   // from the mapping while the file still covers it and falls back to

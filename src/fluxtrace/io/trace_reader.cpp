@@ -119,13 +119,9 @@ TraceReader::TraceReader(std::shared_ptr<MmapByteSource> mmap,
     : mmap_(std::move(mmap)), view_(mmap_->view()), path_(std::move(path)),
       format_(detect(view_)) {}
 
-std::string_view TraceReader::safe_view(bool* did_shrink) const {
-  if (did_shrink != nullptr) *did_shrink = false;
+std::string_view TraceReader::bytes() const {
   if (mmap_ == nullptr) return view_;
-  const std::size_t cur = mmap_->current_size();
-  if (cur >= view_.size()) return view_;
-  if (did_shrink != nullptr) *did_shrink = true;
-  return view_.substr(0, cur);
+  return view_.substr(0, std::min(view_.size(), mmap_->current_size()));
 }
 
 TraceData TraceReader::read() const {
@@ -133,9 +129,8 @@ TraceData TraceReader::read() const {
   IoMetrics::get().reads.inc();
   IoMetrics::get().bytes.inc(view_.size());
   try {
-    bool shrank = false;
-    const std::string_view whole = safe_view(&shrank);
-    if (shrank) {
+    const std::string_view whole = bytes();
+    if (whole.size() < view_.size()) {
       // A strict read refuses a mapping the file no longer backs: the
       // missing tail is indistinguishable from truncation damage.
       throw TraceIoError("file truncated while mapped (" +
@@ -161,16 +156,41 @@ SalvageReport TraceReader::salvage() const {
   // finds the surviving chunks regardless. A mapping the file shrank
   // under is clamped to its still-backed prefix — salvage reports the
   // clamped-off tail as truncated bytes.
-  bool shrank = false;
-  const std::string_view whole = safe_view(&shrank);
+  const std::string_view whole = bytes();
   SalvageReport rep = salvage_trace(whole);
-  if (shrank) rep.bytes_truncated += view_.size() - whole.size();
+  rep.bytes_truncated += view_.size() - whole.size();
   return rep;
 }
 
 TraceTriage classify_trace(const TraceReader& reader) {
+  OBS_SPAN("io.classify");
   TraceTriage t;
+  // The strict walk: the same checks read() makes, one chunk of records
+  // held at a time. A mapping the file shrank under is damage salvage
+  // must account, so it skips the walk.
+  const std::string_view image = reader.bytes();
+  if (image.size() == reader.size_bytes()) {
+    try {
+      const std::vector<V2ChunkRef> chunks = index_trace_v2(image);
+      TraceData scratch;
+      for (const V2ChunkRef& ref : chunks) {
+        decode_trace_v2_chunk(image, ref, scratch);
+        scratch.markers.clear();
+        scratch.samples.clear();
+        scratch.wait_edges.clear();
+        if (is_sample_chunk_type(ref.type)) t.rows += ref.n_records;
+      }
+      t.health = TraceHealth::Clean;
+      t.report.header_ok = true;
+      t.report.eof_ok = true;
+      t.report.chunks_ok = chunks.size();
+      return t;
+    } catch (const TraceIoError&) {
+      // damaged: salvage decides and counts
+    }
+  }
   t.report = reader.salvage();
+  t.rows = t.report.data.samples.size();
   if (t.report.clean()) {
     t.health = TraceHealth::Clean;
     return t;

@@ -57,14 +57,15 @@ class TraceReader {
  public:
   [[nodiscard]] TraceFormat format() const { return format_; }
   [[nodiscard]] const std::string& path() const { return path_; }
+  /// The image's size at open (the mapping's length when mapped).
   [[nodiscard]] std::size_t size_bytes() const { return view_.size(); }
-  /// The raw file image. Consumers that walk the container themselves
-  /// (the query engine's selective chunk decode) read it through
-  /// io::index_trace_v2 / decode_trace_v2_chunk. The view is either a
-  /// heap copy the reader owns or a read-only mmap of the file
-  /// (open_trace); either way it stays valid for the reader's lifetime
-  /// and across copies of the reader.
-  [[nodiscard]] std::string_view bytes() const { return view_; }
+  /// The file image for consumers that walk the container themselves
+  /// (io::index_trace_v2 / decode_trace_v2_chunk): a heap copy the reader
+  /// owns or a read-only mmap, valid for the reader's lifetime. A mapped
+  /// file that shrank yields only its still-backed prefix (pages past it
+  /// fault SIGBUS), so a walk fails like a torn write. Mapped, each call
+  /// costs an fstat: read it once per walk.
+  [[nodiscard]] std::string_view bytes() const;
   /// True when bytes() is a zero-copy mmap of the file rather than a
   /// heap slurp.
   [[nodiscard]] bool mapped() const { return mmap_ != nullptr; }
@@ -93,12 +94,6 @@ class TraceReader {
   TraceReader(std::shared_ptr<MmapByteSource> mmap, std::string path);
 
  private:
-  /// The still-backed prefix of the view: the whole view normally, a
-  /// clamp to the file's current size when a mapped file shrank under
-  /// us (pages below the current size are always safe to touch). Strict
-  /// reads refuse a shrunk mapping; salvage works on the prefix.
-  [[nodiscard]] std::string_view safe_view(bool* did_shrink) const;
-
   std::shared_ptr<const std::string> owned_; // heap-slurp ownership
   std::shared_ptr<MmapByteSource> mmap_;     // mmap ownership
   std::string_view view_;
@@ -124,14 +119,21 @@ enum class TraceHealth : std::uint8_t {
   return "?";
 }
 
-/// classify_trace(): one salvage pass, one verdict, and the full
-/// SalvageReport for exact per-trace loss accounting (the quarantine
-/// ledger records chunks lost / bytes skipped, not just "damaged").
+/// classify_trace(): one verdict plus the SalvageReport counts for exact
+/// per-trace loss accounting (the quarantine ledger records chunks lost
+/// / bytes skipped, not just "damaged").
 struct TraceTriage {
   TraceHealth health = TraceHealth::Unrecoverable;
+  /// The counts salvage reports. report.data holds the salvaged records
+  /// of a damaged trace and stays empty for a clean one.
   SalvageReport report;
+  /// Sample records in the trace (clean), or the ones salvage recovered.
+  std::size_t rows = 0;
 };
 
+/// A strict chunk walk that holds one chunk of records at a time; only
+/// when it fails does salvage() run. The verdict and counts are exactly
+/// salvage()'s: a walk that succeeds is a trace salvage finds clean.
 [[nodiscard]] TraceTriage classify_trace(const TraceReader& reader);
 
 /// How open_trace acquires the bytes.

@@ -257,30 +257,6 @@ struct ColRef {
   return true;
 }
 
-/// Bounds- and CRC-check a compressed chunk ref against the file image
-/// and return its payload. Throws TraceIoError.
-[[nodiscard]] std::string_view checked_payload(std::string_view file,
-                                               const V2ChunkRef& ref) {
-  if (!is_compressed_chunk_type(ref.type)) {
-    throw TraceIoError("not a compressed chunk at offset " +
-                       std::to_string(ref.offset));
-  }
-  if (ref.offset > file.size() ||
-      file.size() - ref.offset <
-          detail::kChunkHeaderBytes + static_cast<std::size_t>(
-                                          ref.payload_bytes)) {
-    throw TraceIoError("chunk ref outside file at offset " +
-                       std::to_string(ref.offset));
-  }
-  const std::string_view payload =
-      file.substr(ref.offset + detail::kChunkHeaderBytes, ref.payload_bytes);
-  if (crc32(payload.data(), payload.size()) != peek_u32(file, ref.offset + 17)) {
-    throw TraceIoError("payload CRC mismatch at offset " +
-                       std::to_string(ref.offset));
-  }
-  return payload;
-}
-
 } // namespace
 
 std::string encode_v3_file_header() {
@@ -350,9 +326,7 @@ std::string encode_wait_chunk_v3(const WaitEdge* es, std::size_t n) {
 
 void write_trace_v3(std::ostream& os, const TraceData& data,
                     std::size_t records_per_chunk) {
-  if (records_per_chunk == 0) records_per_chunk = 1;
-  records_per_chunk =
-      std::min<std::size_t>(records_per_chunk, kMaxChunkRecords);
+  check_chunk_count(records_per_chunk);
   const auto check = [&os](const char* section) {
     if (os.good()) return;
     std::string msg = std::string("write failed (") + section + ")";
@@ -388,6 +362,7 @@ void write_trace_v3(std::ostream& os, const TraceData& data,
 
 void save_trace_v3(const std::string& path, const TraceData& data,
                    std::size_t records_per_chunk) {
+  check_chunk_count(records_per_chunk); // before the file exists
   std::ofstream os(path, std::ios::binary);
   if (!os) {
     throw TraceIoError("cannot open for writing: " + path + ": " +
@@ -425,7 +400,7 @@ void decode_v3_samples_into(std::string_view file, const V2ChunkRef& ref,
     throw TraceIoError("not a compressed sample chunk at offset " +
                        std::to_string(ref.offset));
   }
-  const std::string_view payload = checked_payload(file, ref);
+  const std::string_view payload = detail::chunk_payload(file, ref);
   ColRef cols[kSampleCols];
   if (!parse_compressed_payload(payload, kSampleCols, ref.n_records, cols)) {
     throw TraceIoError("malformed compressed sample payload at offset " +
@@ -449,7 +424,7 @@ V3ZoneHint read_v3_zone_hint(std::string_view file, const V2ChunkRef& ref) {
   if (!is_compressed_chunk_type(ref.type)) return hint;
   if (ref.payload_bytes < kPayloadHeaderBytes) return hint;
   try {
-    const std::string_view payload = checked_payload(file, ref);
+    const std::string_view payload = detail::chunk_payload(file, ref);
     hint.min_ts = static_cast<std::int64_t>(peek_u64(payload, 4));
     hint.max_ts = static_cast<std::int64_t>(peek_u64(payload, 12));
     hint.ok = true;
@@ -484,7 +459,7 @@ std::vector<V3ColumnSummary> v3_compression_stats(std::string_view file) {
 
   for (const V2ChunkRef& ref : index_trace_v2(file)) {
     if (!is_compressed_chunk_type(ref.type)) continue;
-    const std::string_view payload = checked_payload(file, ref);
+    const std::string_view payload = detail::chunk_payload(file, ref);
     const std::size_t n_cols = column_count_for(ref.type);
     std::vector<ColRef> cols(n_cols);
     if (!parse_compressed_payload(payload, n_cols, ref.n_records,

@@ -115,7 +115,10 @@ class V3ChunkEncoder {
                                                std::size_t n);
 
 /// Serialize in the v3 layout (the eof sentinel is shared with v2).
-/// Throws TraceIoError on stream failure.
+/// Throws std::invalid_argument, naming the value, when
+/// records_per_chunk is 0 or above kMaxChunkRecords (save_trace_v3
+/// checks before it creates the file), and TraceIoError on stream
+/// failure.
 void write_trace_v3(std::ostream& os, const TraceData& data,
                     std::size_t records_per_chunk = kDefaultChunkRecordsV3);
 void save_trace_v3(const std::string& path, const TraceData& data,

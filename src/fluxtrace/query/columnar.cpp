@@ -1,7 +1,7 @@
 #include "fluxtrace/query/columnar.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <optional>
 #include <thread>
 
 #include "fluxtrace/base/regs.hpp"
@@ -22,6 +22,7 @@ constexpr std::size_t idx(Field f) { return static_cast<std::size_t>(f); }
 void ColumnarTrace::attribute(const std::vector<Marker>& markers,
                               const SymbolTable& symtab,
                               const BuildOptions& opts) {
+  OBS_SPAN("query.attribute");
   // The attribution kernel, one pass over the rows: the same procedure
   // TraceIntegrator runs, so `item` and `dur` here always agree with what
   // flxt_report prints for the same trace.
@@ -62,6 +63,7 @@ void ColumnarTrace::attribute(const std::vector<Marker>& markers,
 }
 
 void ColumnarTrace::build_zones() {
+  OBS_SPAN("query.zones");
   zones_.clear();
   if (n_rows_ == 0 || zone_rows_ == 0) return;
   const std::size_t nz = (n_rows_ + zone_rows_ - 1) / zone_rows_;
@@ -87,27 +89,90 @@ void ColumnarTrace::build_zones() {
 ColumnarTrace ColumnarTrace::build(const io::TraceData& data,
                                    const SymbolTable& symtab,
                                    const BuildOptions& opts) {
-  OBS_SPAN("query.columnar_build");
   ColumnarTrace t;
   t.zone_rows_ = opts.zone_rows != 0 ? opts.zone_rows : 65536;
-  const std::size_t n = data.samples.size();
-  t.n_rows_ = n;
-  for (auto& c : t.cols_) c.resize(n);
+  {
+    OBS_SPAN("query.decode");
+    const std::size_t n = data.samples.size();
+    t.n_rows_ = n;
+    for (auto& c : t.cols_) c.resize(n);
 
-  std::int64_t* ts = t.cols_[idx(Field::Ts)].data();
-  std::int64_t* ip = t.cols_[idx(Field::Ip)].data();
-  std::int64_t* core_c = t.cols_[idx(Field::Core)].data();
-  std::int64_t* item_c = t.cols_[idx(Field::Item)].data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const PebsSample& s = data.samples[i];
-    ts[i] = static_cast<std::int64_t>(s.tsc);
-    ip[i] = static_cast<std::int64_t>(s.ip);
-    core_c[i] = static_cast<std::int64_t>(s.core);
-    if (opts.use_register_ids) {
-      item_c[i] = static_cast<std::int64_t>(s.regs.get(kItemIdReg));
+    std::int64_t* ts = t.cols_[idx(Field::Ts)].data();
+    std::int64_t* ip = t.cols_[idx(Field::Ip)].data();
+    std::int64_t* core_c = t.cols_[idx(Field::Core)].data();
+    std::int64_t* item_c = t.cols_[idx(Field::Item)].data();
+    for (std::size_t i = 0; i < n; ++i) {
+      const PebsSample& s = data.samples[i];
+      ts[i] = static_cast<std::int64_t>(s.tsc);
+      ip[i] = static_cast<std::int64_t>(s.ip);
+      core_c[i] = static_cast<std::int64_t>(s.core);
+      if (opts.use_register_ids) {
+        item_c[i] = static_cast<std::int64_t>(s.regs.get(kItemIdReg));
+      }
     }
   }
   t.attribute(data.markers, symtab, opts);
+  t.build_zones();
+  return t;
+}
+
+ColumnarTrace ColumnarTrace::load(std::string_view image,
+                                  std::span<const io::V2ChunkRef> chunks,
+                                  const std::vector<bool>& keep,
+                                  const SymbolTable& symtab,
+                                  const BuildOptions& opts,
+                                  rt::ThreadPool* pool) {
+  ColumnarTrace t;
+  t.zone_rows_ = opts.zone_rows != 0 ? opts.zone_rows : 65536;
+  io::TraceData marker_data;
+  {
+    OBS_SPAN("query.decode");
+    // Markers decode inline (they feed attribution); each kept sample
+    // chunk gets a prefix-summed row offset so the decodes can run
+    // concurrently into disjoint column slices, skipping the 148-byte
+    // PebsSample materialization (the store never reads 15 of the 16
+    // GPRs).
+    struct SampleChunk {
+      const io::V2ChunkRef* ref;
+      std::size_t row0;
+    };
+    std::vector<SampleChunk> kept;
+    std::size_t sample_i = 0;
+    for (const io::V2ChunkRef& ref : chunks) {
+      if (io::is_sample_chunk_type(ref.type)) {
+        if (keep.empty() || (sample_i < keep.size() && keep[sample_i])) {
+          kept.push_back({&ref, t.n_rows_});
+          t.n_rows_ += ref.n_records;
+        }
+        ++sample_i;
+      } else if (io::is_marker_chunk_type(ref.type)) {
+        io::decode_trace_v2_chunk(image, ref, marker_data);
+      }
+    }
+    for (auto& c : t.cols_) c.resize(t.n_rows_);
+    const auto decode_one = [&](std::size_t k) {
+      const SampleChunk& sc = kept[k];
+      io::SampleColumnSlice s;
+      s.tsc = t.cols_[idx(Field::Ts)].data() + sc.row0;
+      s.ip = t.cols_[idx(Field::Ip)].data() + sc.row0;
+      s.core = t.cols_[idx(Field::Core)].data() + sc.row0;
+      if (opts.use_register_ids) {
+        s.reg = t.cols_[idx(Field::Item)].data() + sc.row0;
+        s.reg_index = static_cast<unsigned>(kItemIdReg);
+      }
+      if (sc.ref->type == io::kChunkTypeSamples) {
+        io::decode_trace_v2_samples_slice(image, *sc.ref, s);
+      } else {
+        io::decode_v3_samples_into(image, *sc.ref, s);
+      }
+    };
+    if (pool != nullptr && kept.size() > 1) {
+      pool->parallel_for(kept.size(), decode_one); // rethrows the damage
+    } else {
+      for (std::size_t k = 0; k < kept.size(); ++k) decode_one(k);
+    }
+  }
+  t.attribute(marker_data.markers, symtab, opts);
   t.build_zones();
   return t;
 }
@@ -116,99 +181,35 @@ ColumnarTrace ColumnarTrace::from_reader(const io::TraceReader& reader,
                                          const SymbolTable& symtab,
                                          const BuildOptions& opts,
                                          unsigned n_threads) {
-  if (io::is_chunked_format(reader.format())) {
-    // Column-direct decode for the common case: a clean chunked image
-    // (raw v2 or compressed v3 sample chunks — one chunk family). Any
-    // structural or payload damage drops to the generic read-or-salvage
-    // path below, which reproduces the old behaviour (and diagnostics)
-    // exactly.
-    try {
-      OBS_SPAN("query.columnar_build");
-      const std::string_view bytes = reader.bytes();
-      const std::vector<io::V2ChunkRef> refs = io::index_trace_v2(bytes);
-      ColumnarTrace t;
-      t.zone_rows_ = opts.zone_rows != 0 ? opts.zone_rows : 65536;
-      // Split the walk: markers decode inline (they feed attribution),
-      // sample chunks get a prefix-summed row offset each so their
-      // decodes can run concurrently into disjoint column slices.
-      // Wait-edge chunks are skipped outright — attribution never reads
-      // them, and inflating them here was pure waste.
-      struct SampleChunk {
-        const io::V2ChunkRef* ref;
-        std::size_t row0;
-      };
-      std::vector<SampleChunk> schunks;
-      std::size_t total_rows = 0;
-      io::TraceData marker_data;
-      for (const io::V2ChunkRef& ref : refs) {
-        if (io::is_sample_chunk_type(ref.type)) {
-          schunks.push_back({&ref, total_rows});
-          total_rows += ref.n_records;
-        } else if (io::is_marker_chunk_type(ref.type)) {
-          io::decode_trace_v2_chunk(bytes, ref, marker_data);
-        }
-      }
-      t.n_rows_ = total_rows;
-      for (auto& c : t.cols_) c.resize(total_rows);
-      const bool want_reg = opts.use_register_ids;
-      const auto slice_for = [&](const SampleChunk& sc) {
-        io::SampleColumnSlice s;
-        s.tsc = t.cols_[idx(Field::Ts)].data() + sc.row0;
-        s.ip = t.cols_[idx(Field::Ip)].data() + sc.row0;
-        s.core = t.cols_[idx(Field::Core)].data() + sc.row0;
-        if (want_reg) {
-          s.reg = t.cols_[idx(Field::Item)].data() + sc.row0;
-          s.reg_index = static_cast<unsigned>(kItemIdReg);
-        }
-        return s;
-      };
-      const auto decode_one = [&](const SampleChunk& sc) {
-        const io::SampleColumnSlice s = slice_for(sc);
-        if (sc.ref->type == io::kChunkTypeSamples) {
-          io::decode_trace_v2_samples_slice(bytes, *sc.ref, s);
-        } else {
-          io::decode_v3_samples_into(bytes, *sc.ref, s);
-        }
-      };
-      const unsigned n =
-          n_threads != 0 ? n_threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-      if (n <= 1 || schunks.size() <= 1) {
-        for (const SampleChunk& sc : schunks) decode_one(sc);
-      } else {
-        // Damage inside a worker may not throw across the pool: flag it
-        // and let the strict fallback reproduce the exact diagnostics.
-        std::atomic<bool> any_bad{false};
-        rt::ThreadPool pool(std::min<std::size_t>(n, schunks.size()));
-        pool.parallel_for(schunks.size(), [&](std::size_t k) {
-          try {
-            decode_one(schunks[k]);
-          } catch (const io::TraceIoError&) {
-            any_bad.store(true, std::memory_order_relaxed);
-          }
-        });
-        if (any_bad.load()) {
-          throw io::TraceIoError("damaged sample chunk in parallel decode");
-        }
-      }
-      t.attribute(marker_data.markers, symtab, opts);
-      t.build_zones();
-      return t;
-    } catch (const io::TraceIoError&) {
-      // fall through
+  try {
+    const std::string_view image = reader.bytes();
+    const std::vector<io::V2ChunkRef> chunks = io::index_trace_v2(image);
+    const auto n_samples = static_cast<std::size_t>(
+        std::ranges::count_if(chunks, [](const io::V2ChunkRef& r) {
+          return io::is_sample_chunk_type(r.type);
+        }));
+    const unsigned n =
+        n_threads != 0 ? n_threads
+                       : std::max(1u, std::thread::hardware_concurrency());
+    std::optional<rt::ThreadPool> pool;
+    if (n > 1 && n_samples > 1) {
+      pool.emplace(static_cast<unsigned>(std::min<std::size_t>(n, n_samples)));
     }
+    return load(image, chunks, {}, symtab, opts, pool ? &*pool : nullptr);
+  } catch (const io::TraceIoError&) {
+    // Damage (or not a chunked image): salvage reproduces the strict
+    // reader's diagnostics and recovers what it can.
   }
+  return read_or_salvage(reader, symtab, opts);
+}
+
+ColumnarTrace ColumnarTrace::read_or_salvage(const io::TraceReader& reader,
+                                             const SymbolTable& symtab,
+                                             const BuildOptions& opts) {
   const io::TraceReader::ReadResult rr = reader.read_or_salvage();
   ColumnarTrace t = build(rr.data, symtab, opts);
   t.salvaged_ = rr.salvaged;
   return t;
-}
-
-ColumnarTrace ColumnarTrace::open(const std::string& path,
-                                  const SymbolTable& symtab,
-                                  const BuildOptions& opts,
-                                  unsigned n_threads) {
-  return from_reader(io::open_trace(path), symtab, opts, n_threads);
 }
 
 } // namespace fluxtrace::query

@@ -1,7 +1,7 @@
-// The columnar (SoA) trace store the query engine scans (ISSUE 5; batch
-// API since ISSUE 7): one row per PEBS sample, six int64 columns.
-// Attribution happens at build time, through the attribution kernel
-// core::TraceIntegrator runs too (core/attribution.hpp):
+// The columnar (SoA) trace store the query engine scans: one row per
+// PEBS sample, six int64 columns. Attribution happens at load time,
+// through the attribution kernel core::TraceIntegrator runs too
+// (core/attribution.hpp):
 //
 //   item — the latest-entered marker window covering (core, ts), or the
 //          sampled id register in use_register_ids mode; kNoItem → -1
@@ -21,9 +21,7 @@
 // evaluating a block (finer-grained than FLXI's per-chunk pruning — and
 // sound for *every* query shape, outliers and dur-queries included,
 // because rows here are already fully decoded and attributed: skipping a
-// block only skips rows the filter provably rejects). The old per-row
-// field()/row() accessors are gone; BatchEvaluator (expr.hpp) replaced
-// per-row interpretation.
+// block only skips rows the filter provably rejects).
 #pragma once
 
 #include <array>
@@ -31,11 +29,16 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fluxtrace/base/symbols.hpp"
 #include "fluxtrace/io/trace_reader.hpp"
 #include "fluxtrace/query/expr.hpp"
+
+namespace fluxtrace::rt {
+class ThreadPool;
+}
 
 namespace fluxtrace::query {
 
@@ -70,24 +73,31 @@ class ColumnarTrace {
                              const SymbolTable& symtab,
                              const BuildOptions& opts = {});
 
-  /// Build from an opened reader. A clean chunked-v2 image takes the
-  /// column-direct decode path: sample fields stream straight into the
-  /// columns (skipping the 148-byte PebsSample materialization — the
-  /// store never reads 15 of the 16 GPRs). Other formats decode via
-  /// TraceReader, and a damaged file of any format degrades to the
-  /// salvaged subset (salvaged() reports it) instead of erroring.
+  /// The one chunk loader, under full and pruned loads alike. `chunks`
+  /// is io::index_trace_v2(image); `keep` flags the sample chunks to
+  /// decode, in file order (empty keeps all). Every marker chunk is
+  /// decoded; kept sample chunks decode straight into column slices, on
+  /// `pool` when given, else on the calling thread. Throws
+  /// io::TraceIoError on any damage; it never salvages.
+  static ColumnarTrace load(std::string_view image,
+                            std::span<const io::V2ChunkRef> chunks,
+                            const std::vector<bool>& keep,
+                            const SymbolTable& symtab,
+                            const BuildOptions& opts,
+                            rt::ThreadPool* pool);
+
+  /// load() over every chunk of the reader's image, on a pool of
+  /// `n_threads` (0 = hardware) built for this call; a damaged or
+  /// non-chunked image falls back to read_or_salvage().
   static ColumnarTrace from_reader(const io::TraceReader& reader,
                                    const SymbolTable& symtab,
                                    const BuildOptions& opts = {},
                                    unsigned n_threads = 0);
 
-  /// io::open_trace composed with from_reader — open, decode (with
-  /// salvage fallback), attribute, one call. Throws TraceIoError only
-  /// when the file cannot be read at all.
-  static ColumnarTrace open(const std::string& path,
-                            const SymbolTable& symtab,
-                            const BuildOptions& opts = {},
-                            unsigned n_threads = 0);
+  /// reader.read_or_salvage() + build(); salvaged() reports the subset.
+  static ColumnarTrace read_or_salvage(const io::TraceReader& reader,
+                                       const SymbolTable& symtab,
+                                       const BuildOptions& opts);
 
   [[nodiscard]] std::size_t rows() const { return n_rows_; }
 
@@ -117,7 +127,7 @@ class ColumnarTrace {
   [[nodiscard]] std::span<const ZoneMap> zones() const { return zones_; }
 
   /// True when the backing file was damaged and the rows are the
-  /// salvaged subset (from_reader / open paths only).
+  /// salvaged subset (from_reader / read_or_salvage only).
   [[nodiscard]] bool salvaged() const { return salvaged_; }
 
  private:

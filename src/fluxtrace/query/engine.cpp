@@ -292,7 +292,8 @@ QueryEngine::QueryEngine(io::TraceReader reader, SymbolTable symtab,
                          EngineOptions opts)
     : reader_(std::move(reader)), symtab_(std::move(symtab)), opts_(opts) {
   if (opts_.block_rows == 0) opts_.block_rows = 65536;
-  trace_crc_ = io::crc32(reader_.bytes().data(), reader_.bytes().size());
+  const std::string_view image = reader_.bytes();
+  trace_crc_ = io::crc32(image.data(), image.size());
 }
 
 // Out of line so unique_ptr<rt::ThreadPool> works with the forward
@@ -323,14 +324,29 @@ QueryEngine QueryEngine::from_data(const io::TraceData& data,
                      std::move(symtab), opts);
 }
 
+rt::ThreadPool* QueryEngine::decode_pool(std::size_t sample_chunks) {
+  const unsigned threads =
+      opts_.threads == 0 ? std::max(1u, std::thread::hardware_concurrency())
+                         : opts_.threads;
+  return threads > 1 && sample_chunks > 1 ? &pool(threads) : nullptr;
+}
+
 void QueryEngine::ensure_full_loaded() {
   if (full_.has_value()) return;
   OBS_SPAN("query.load_full");
-  // from_reader takes the column-direct decode path for clean v2 images
-  // (no TraceData materialization) and salvages damaged files itself.
-  full_ = ColumnarTrace::from_reader(
-      reader_, symtab_, BuildOptions{opts_.use_register_ids, opts_.block_rows},
-      opts_.threads);
+  const BuildOptions bo{opts_.use_register_ids, opts_.block_rows};
+  try {
+    const std::string_view image = reader_.bytes();
+    const std::vector<io::V2ChunkRef> chunks = io::index_trace_v2(image);
+    const auto n_samples = static_cast<std::size_t>(
+        std::ranges::count_if(chunks, [](const io::V2ChunkRef& r) {
+          return io::is_sample_chunk_type(r.type);
+        }));
+    full_ = ColumnarTrace::load(image, chunks, {}, symtab_, bo,
+                                decode_pool(n_samples));
+  } catch (const io::TraceIoError&) {
+    full_ = ColumnarTrace::read_or_salvage(reader_, symtab_, bo);
+  }
   full_salvaged_ = full_->salvaged();
   try_build_index();
 }
@@ -353,6 +369,61 @@ void QueryEngine::try_build_index() {
       QueryMetrics::get().index_writes.inc();
     }
   }
+}
+
+namespace {
+
+/// True when no value in [lo, hi] can satisfy the interval hint `h`.
+bool rejects(const Interval& h, std::int64_t lo, std::int64_t hi) {
+  return !h.full() && (h.empty() || !h.intersects(lo, hi));
+}
+
+/// Can any row of a sidecar chunk satisfy the prune hints? ts counts
+/// only when `ts_sound` (the query does not reference dur).
+bool flxi_chunk_may_match(const FlxiChunk& c, const PruneHints& hints,
+                          bool ts_sound) {
+  if (c.n_records == 0 || (ts_sound && rejects(hints.ts, c.min_ts, c.max_ts)) ||
+      rejects(hints.item, c.min_item, c.max_item)) {
+    return false;
+  }
+  if (!hints.funcs.has_value()) return true;
+  auto it = hints.funcs->begin();
+  for (const auto& [fn, cnt] : c.func_counts) {
+    while (it != hints.funcs->end() && *it < fn) ++it;
+    if (it == hints.funcs->end()) break;
+    if (*it == fn) return true;
+  }
+  return false;
+}
+
+} // namespace
+
+std::optional<std::vector<bool>> QueryEngine::keep_mask(
+    const Query& q, const PruneHints& hints, std::string_view image,
+    std::span<const io::V2ChunkRef> chunks) const {
+  std::vector<bool> keep;
+  for (const io::V2ChunkRef& r : chunks) {
+    if (!io::is_sample_chunk_type(r.type)) continue;
+    const std::size_t i = keep.size();
+    if (index_.has_value()) {
+      // The validated index must describe exactly the sample chunks the
+      // walk sees; anything else means it lied and a full scan is safer.
+      if (i >= index_->chunks.size() || r.offset != index_->chunks[i].offset) {
+        return std::nullopt;
+      }
+      keep.push_back(flxi_chunk_may_match(index_->chunks[i], hints,
+                                          !q.references_dur()));
+    } else {
+      // A raw chunk, or one whose payload fails the frame CRC, has no
+      // hint (hint.ok == false) and is decoded.
+      const io::V3ZoneHint hint = io::read_v3_zone_hint(image, r);
+      keep.push_back(!hint.ok || !rejects(hints.ts, hint.min_ts, hint.max_ts));
+    }
+  }
+  if (index_.has_value() && keep.size() != index_->chunks.size()) {
+    return std::nullopt;
+  }
+  return keep;
 }
 
 QueryEngine::Loaded QueryEngine::load_for(const Query& q,
@@ -390,155 +461,49 @@ QueryEngine::Loaded QueryEngine::load_for(const Query& q,
       }
     }
   }
-
-  if (may_prune && index_.has_value()) {
-    const bool no_ts_prune = q.references_dur();
-    std::vector<io::V2ChunkRef> refs;
-    bool layout_ok = true;
-    try {
-      refs = io::index_trace_v2(reader_.bytes());
-    } catch (const io::TraceIoError&) {
-      layout_ok = false;
-    }
-    // The validated index must describe exactly the sample chunks the
-    // walk sees; anything else means it lied and a full scan is safer.
-    std::vector<const io::V2ChunkRef*> sample_refs;
-    if (layout_ok) {
-      for (const io::V2ChunkRef& r : refs) {
-        if (io::is_sample_chunk_type(r.type)) sample_refs.push_back(&r);
-      }
-      if (sample_refs.size() != index_->chunks.size()) layout_ok = false;
-      for (std::size_t i = 0; layout_ok && i < sample_refs.size(); ++i) {
-        if (sample_refs[i]->offset != index_->chunks[i].offset) {
-          layout_ok = false;
-        }
-      }
-    }
-    if (layout_ok) {
-      io::TraceData subset;
-      bool decode_ok = true;
-      std::size_t kept = 0;
-      std::size_t pruned_compressed = 0;
-      try {
-        for (const io::V2ChunkRef& r : refs) {
-          if (io::is_marker_chunk_type(r.type)) {
-            io::decode_trace_v2_chunk(reader_.bytes(), r, subset);
-          }
-        }
-        for (std::size_t i = 0; i < sample_refs.size(); ++i) {
-          const FlxiChunk& c = index_->chunks[i];
-          bool keep = c.n_records > 0;
-          if (keep && !no_ts_prune && !hints.ts.full()) {
-            keep = !hints.ts.empty() &&
-                   hints.ts.intersects(c.min_ts, c.max_ts);
-          }
-          if (keep && !hints.item.full()) {
-            keep = !hints.item.empty() &&
-                   hints.item.intersects(c.min_item, c.max_item);
-          }
-          if (keep && hints.funcs.has_value()) {
-            bool any = false;
-            auto it = hints.funcs->begin();
-            for (const auto& [fn, cnt] : c.func_counts) {
-              while (it != hints.funcs->end() && *it < fn) ++it;
-              if (it == hints.funcs->end()) break;
-              if (*it == fn) {
-                any = true;
-                break;
-              }
-            }
-            keep = any;
-          }
-          if (!keep) {
-            if (io::is_compressed_chunk_type(sample_refs[i]->type)) {
-              ++pruned_compressed;
-            }
-            continue;
-          }
-          ++kept;
-          io::decode_trace_v2_chunk(reader_.bytes(), *sample_refs[i],
-                                    subset);
-        }
-      } catch (const io::TraceIoError&) {
-        decode_ok = false; // index was stale after all: full scan below
-      }
-      if (decode_ok) {
-        scratch = ColumnarTrace::build(
-            subset, symtab_,
-            BuildOptions{opts_.use_register_ids, opts_.block_rows});
-        out.table = &*scratch;
-        out.stats.chunks_total = index_->chunks.size();
-        out.stats.chunks_read = kept;
-        out.stats.chunks_pruned = index_->chunks.size() - kept;
-        out.stats.chunks_pruned_compressed = pruned_compressed;
-        out.stats.index_used = true;
-        QueryMetrics::get().index_hits.inc();
-        QueryMetrics::get().chunks_pruned.inc(out.stats.chunks_pruned);
-        QueryMetrics::get().chunks_pruned_compressed.inc(pruned_compressed);
-        return out;
-      }
-    }
-  }
-
   // Sidecar-free pruning: v3 compressed chunks carry an encode-time
   // min/max ts hint at a fixed payload offset (v3.hpp), so a ts-selective
   // query can skip chunks without inflating them even before any FLXI
   // sidecar exists. The hint covers only the time column, so it is
   // useless for item/func predicates, and like FLXI ts pruning it is
   // unsound once the query references dur (durations attribute across
-  // chunk boundaries). A chunk whose payload fails the frame CRC reports
-  // hint.ok == false and is decoded the hard way instead.
-  if (may_prune && !index_.has_value() &&
-      reader_.format() == io::TraceFormat::FlxtV3 && !q.references_dur() &&
-      !hints.ts.full()) {
-    bool walk_ok = true;
-    std::vector<io::V2ChunkRef> refs;
+  // chunk boundaries).
+  const bool hints_prune = reader_.format() == io::TraceFormat::FlxtV3 &&
+                           !q.references_dur() && !hints.ts.full();
+  if (may_prune && (index_.has_value() || hints_prune)) {
+    // A pruned load is the one loader over a keep-mask. Damage anywhere
+    // in the walk or the kept chunks drops to the full load below, which
+    // salvages.
+    const std::string_view image = reader_.bytes();
     try {
-      refs = io::index_trace_v2(reader_.bytes());
-    } catch (const io::TraceIoError&) {
-      walk_ok = false;
-    }
-    if (walk_ok) {
-      io::TraceData subset;
-      std::size_t total = 0;
-      std::size_t kept = 0;
-      std::size_t pruned_compressed = 0;
-      try {
-        for (const io::V2ChunkRef& r : refs) {
-          if (io::is_marker_chunk_type(r.type)) {
-            io::decode_trace_v2_chunk(reader_.bytes(), r, subset);
-            continue;
-          }
+      const std::vector<io::V2ChunkRef> chunks = io::index_trace_v2(image);
+      if (const auto keep = keep_mask(q, hints, image, chunks)) {
+        std::size_t kept = 0;
+        std::size_t pruned_compressed = 0;
+        std::size_t i = 0;
+        for (const io::V2ChunkRef& r : chunks) {
           if (!io::is_sample_chunk_type(r.type)) continue;
-          ++total;
-          if (io::is_compressed_chunk_type(r.type)) {
-            const io::V3ZoneHint hint =
-                io::read_v3_zone_hint(reader_.bytes(), r);
-            if (hint.ok && (hints.ts.empty() ||
-                            !hints.ts.intersects(hint.min_ts, hint.max_ts))) {
-              ++pruned_compressed;
-              continue;
-            }
-          }
-          ++kept;
-          io::decode_trace_v2_chunk(reader_.bytes(), r, subset);
+          const bool k = (*keep)[i++];
+          kept += k;
+          pruned_compressed += !k && io::is_compressed_chunk_type(r.type);
         }
-      } catch (const io::TraceIoError&) {
-        walk_ok = false; // damage: the full scan below salvages
-      }
-      if (walk_ok) {
-        scratch = ColumnarTrace::build(
-            subset, symtab_,
-            BuildOptions{opts_.use_register_ids, opts_.block_rows});
+        scratch = ColumnarTrace::load(
+            image, chunks, *keep, symtab_,
+            BuildOptions{opts_.use_register_ids, opts_.block_rows},
+            decode_pool(kept));
         out.table = &*scratch;
-        out.stats.chunks_total = total;
+        out.stats.chunks_total = keep->size();
         out.stats.chunks_read = kept;
-        out.stats.chunks_pruned = total - kept;
+        out.stats.chunks_pruned = keep->size() - kept;
         out.stats.chunks_pruned_compressed = pruned_compressed;
+        out.stats.index_used = index_.has_value();
+        if (out.stats.index_used) QueryMetrics::get().index_hits.inc();
         QueryMetrics::get().chunks_pruned.inc(out.stats.chunks_pruned);
         QueryMetrics::get().chunks_pruned_compressed.inc(pruned_compressed);
         return out;
       }
+    } catch (const io::TraceIoError&) {
+      // fall through to the full load
     }
   }
 
@@ -579,14 +544,8 @@ enum class Mode : std::uint8_t { Rows, Group, Outliers };
 /// the full row set, so skipping here only skips rows the filter itself
 /// would reject.
 bool zone_may_match(const PruneHints& h, const ZoneMap& z) {
-  if (!h.ts.full() &&
-      (h.ts.empty() ||
-       !h.ts.intersects(z.min_of(Field::Ts), z.max_of(Field::Ts)))) {
-    return false;
-  }
-  if (!h.item.full() &&
-      (h.item.empty() ||
-       !h.item.intersects(z.min_of(Field::Item), z.max_of(Field::Item)))) {
+  if (rejects(h.ts, z.min_of(Field::Ts), z.max_of(Field::Ts)) ||
+      rejects(h.item, z.min_of(Field::Item), z.max_of(Field::Item))) {
     return false;
   }
   if (h.funcs.has_value()) {

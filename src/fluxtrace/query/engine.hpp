@@ -64,6 +64,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -273,12 +274,22 @@ class QueryEngine {
     ScanStats stats;
   };
 
-  /// Decode (full or FLXI-pruned) the rows this query needs. `scratch`
-  /// owns the pruned build when one happens.
+  /// Load the rows this query needs: a pruned load when a keep-mask
+  /// applies, else the cached full load. `scratch` owns the pruned load
+  /// when one happens.
   Loaded load_for(const Query& q, std::optional<ColumnarTrace>& scratch);
+  /// The keep-mask of a pruned load of `q` over `chunks`' sample chunks:
+  /// from the validated FLXI sidecar, else from the v3 zone hints (the
+  /// caller checks they may prune `q`). nullopt when the sidecar does not
+  /// fit `chunks`.
+  [[nodiscard]] std::optional<std::vector<bool>> keep_mask(
+      const Query& q, const PruneHints& hints, std::string_view image,
+      std::span<const io::V2ChunkRef> chunks) const;
   void ensure_full_loaded();
   void try_build_index();
   rt::ThreadPool& pool(unsigned n_threads);
+  /// pool() when decoding `sample_chunks` chunks can use it, else null.
+  rt::ThreadPool* decode_pool(std::size_t sample_chunks);
   /// Wait-edge stages scan wait_edges_, not the sample columns.
   QueryResult run_wait(const Query& q);
   void ensure_wait_edges_loaded();

@@ -191,15 +191,16 @@ std::optional<FlxiIndex> build_flxi(const io::TraceReader& reader,
   if (!io::is_chunked_format(reader.format()) || table.salvaged()) {
     return std::nullopt;
   }
+  const std::string_view image = reader.bytes();
   std::vector<io::V2ChunkRef> refs;
   try {
-    refs = io::index_trace_v2(reader.bytes());
+    refs = io::index_trace_v2(image);
   } catch (const io::TraceIoError&) {
     return std::nullopt; // strict read succeeded but the walk did not
   }
 
   FlxiIndex idx;
-  idx.trace_size = reader.bytes().size();
+  idx.trace_size = image.size();
   idx.trace_crc = trace_crc;
   idx.symtab_crc = symtab_crc(symtab);
   idx.flags = use_register_ids ? kFlxiFlagRegisterIds : 0u;
@@ -265,12 +266,12 @@ SidecarStatus refresh_sidecar(const std::string& trace_path,
                               const SymbolTable& symtab,
                               bool use_register_ids, unsigned n_threads) {
   const io::TraceReader reader = io::open_trace(trace_path);
-  const std::uint32_t crc =
-      io::crc32(reader.bytes().data(), reader.bytes().size());
+  const std::string_view image = reader.bytes();
+  const std::uint32_t crc = io::crc32(image.data(), image.size());
   const std::uint32_t mode_flag =
       use_register_ids ? kFlxiFlagRegisterIds : 0u;
   if (const auto existing = load_flxi(flxi_path(trace_path))) {
-    const bool fresh = existing->trace_size == reader.bytes().size() &&
+    const bool fresh = existing->trace_size == image.size() &&
                        existing->trace_crc == crc &&
                        existing->symtab_crc == symtab_crc(symtab) &&
                        (existing->flags & kFlxiFlagRegisterIds) == mode_flag;

@@ -2,7 +2,7 @@
 // the empty-file and shrink edge cases, and fault-injected reads. The
 // contract: mapped and slurped reads are byte-for-byte the same trace;
 // a file truncated while mapped is a strict-read error and a clamped
-// salvage, never a SIGBUS.
+// salvage — for the query paths and triage too — never a SIGBUS.
 #include "fluxtrace/io/mmap_source.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +19,8 @@
 #include "fluxtrace/io/chunked.hpp"
 #include "fluxtrace/io/trace_reader.hpp"
 #include "fluxtrace/io/v3.hpp"
+#include "fluxtrace/query/columnar.hpp"
+#include "fluxtrace/query/engine.hpp"
 
 namespace fluxtrace::io {
 namespace {
@@ -123,6 +125,51 @@ TEST(MmapOpen, TruncatedWhileMappedStrictReadThrows) {
   for (std::size_t i = 0; i < rep.data.samples.size(); ++i) {
     EXPECT_EQ(rep.data.samples[i], data.samples[i]);
   }
+  std::remove(path.c_str());
+}
+
+TEST(MmapOpen, ShrunkMappingQueriesSalvageInsteadOfCrashing) {
+  // The query paths walk the image themselves; a mapping the file no
+  // longer backs must fail their strict walk, not fault SIGBUS, and the
+  // salvage fallback must return the surviving prefix.
+  const std::string path = temp_path("mmap_shrink_query.flxt3");
+  save_trace_v3(path, small_data(100000), 4096);
+  const TraceReader reader = open_trace(path);
+  ASSERT_TRUE(reader.mapped());
+  query::EngineOptions eo;
+  eo.threads = 1;
+  eo.write_index = false;
+  query::QueryEngine full = query::QueryEngine::open(path, SymbolTable{}, eo);
+  query::QueryEngine pruned = query::QueryEngine::open(path, SymbolTable{}, eo);
+  const auto quarter = static_cast<off_t>(reader.size_bytes() / 4);
+  ASSERT_EQ(::truncate(path.c_str(), quarter), 0);
+
+  const SalvageReport rep = reader.salvage();
+  ASSERT_GT(rep.data.samples.size(), 0u);
+  ASSERT_LT(rep.data.samples.size(), 100000u);
+  query::QueryEngine ref =
+      query::QueryEngine::from_data(rep.data, SymbolTable{}, eo);
+  const std::string group = "group core: count";
+  const std::string ts = "filter ts < 200000 | group core: count, max(ts)";
+
+  const query::QueryResult a = full.run(group);
+  EXPECT_TRUE(a.stats.salvaged);
+  EXPECT_EQ(a.rows, ref.run(group).rows);
+  const query::QueryResult b = pruned.run(ts);
+  EXPECT_TRUE(b.stats.salvaged);
+  EXPECT_EQ(b.rows, ref.run(ts).rows);
+
+  const query::ColumnarTrace t =
+      query::ColumnarTrace::from_reader(reader, SymbolTable{}, {}, 2);
+  EXPECT_TRUE(t.salvaged());
+  ASSERT_EQ(t.rows(), rep.data.samples.size());
+  EXPECT_EQ(t.col(query::Field::Ts).back(),
+            static_cast<std::int64_t>(rep.data.samples.back().tsc));
+
+  const TraceTriage tri = classify_trace(reader);
+  EXPECT_EQ(tri.health, TraceHealth::Salvaged);
+  EXPECT_EQ(tri.rows, rep.data.samples.size());
+  EXPECT_GT(tri.report.bytes_truncated, 0u);
   std::remove(path.c_str());
 }
 

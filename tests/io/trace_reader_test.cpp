@@ -273,5 +273,164 @@ TEST(TraceReader, UnknownFormatErrorsMatchLegacyReader) {
   }
 }
 
+// --- triage ------------------------------------------------------------
+
+/// classify_trace as it was when it always salvaged: the reference its
+/// strict walk must reproduce, verdict and counts, on every input.
+TraceTriage salvage_triage(const TraceReader& r) {
+  TraceTriage t;
+  t.report = r.salvage();
+  t.rows = t.report.data.samples.size();
+  if (t.report.clean()) {
+    t.health = TraceHealth::Clean;
+    return t;
+  }
+  const bool any_data = t.report.chunks_ok > 0 ||
+                        !t.report.data.markers.empty() ||
+                        !t.report.data.samples.empty() ||
+                        !t.report.data.wait_edges.empty();
+  t.health = any_data ? TraceHealth::Salvaged : TraceHealth::Unrecoverable;
+  return t;
+}
+
+/// Small records with idle GPRs, so every byte-level mutation of the
+/// image below stays cheap.
+TraceData triage_data() {
+  TraceData d;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    d.markers.push_back({1000 + 100 * i, i / 2, 0,
+                         i % 2 == 0 ? MarkerKind::Enter : MarkerKind::Leave});
+  }
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    PebsSample s;
+    s.tsc = 1000 + 13 * i;
+    s.ip = (i % 3 == 0 ? 0x1000 : i % 3 == 1 ? 0x7f0000 : 0x3a00000) + i % 2;
+    s.core = static_cast<std::uint32_t>(i % 2);
+    d.samples.push_back(s);
+  }
+  WaitEdge e;
+  e.enter = 1100;
+  e.leave = 1180;
+  e.item = 1;
+  d.wait_edges.push_back(e);
+  return d;
+}
+
+std::string v3_bytes(const TraceData& d, std::size_t per_chunk) {
+  std::ostringstream os;
+  write_trace_v3(os, d, per_chunk);
+  return std::move(os).str();
+}
+
+void put_u32_at(std::string& b, std::size_t at, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    b[at + i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+std::uint32_t u32_at(const std::string& b, std::size_t at) {
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(b[at + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+/// A v3 sample chunk whose ip column is dictionary-coded, with its last
+/// index byte forged past the dictionary and both the column and frame
+/// CRCs recomputed: every checksum holds, only the strict decode can
+/// refuse it.
+std::string forged_dict_index_image() {
+  TraceData d;
+  for (std::uint64_t i = 0; i < 16; ++i) { // 16 two-bit indices, no padding
+    PebsSample s;
+    s.tsc = 1000 + 13 * i;
+    s.ip = i % 3 == 0 ? 0x1000 : i % 3 == 1 ? 0x7f0000 : 0x3a00000;
+    d.samples.push_back(s);
+  }
+  std::string image = v3_bytes(d, 16);
+  const std::vector<V2ChunkRef> refs = index_trace_v2(image);
+  EXPECT_EQ(refs.size(), 1u);
+  const std::size_t payload = static_cast<std::size_t>(refs[0].offset) + 21;
+  // flags u32 | min_ts i64 | max_ts i64 | n_cols u8, then per column
+  // col_id u8 | codec u8 | enc_bytes u32 | enc_crc u32 | bytes.
+  std::size_t at = payload + 21;
+  at += 10 + u32_at(image, at + 2); // past the ts column
+  EXPECT_EQ(static_cast<unsigned>(image[at]), 1u); // the ip column
+  EXPECT_EQ(static_cast<unsigned>(image[at + 1]),
+            static_cast<unsigned>(codec::ColumnCodec::Dict));
+  const std::uint32_t len = u32_at(image, at + 2);
+  image[at + 10 + len - 1] = '\xff'; // four indices of 3 over a 3-entry dict
+  put_u32_at(image, at + 6, crc32(image.data() + at + 10, len));
+  put_u32_at(image, payload - 4,
+             crc32(image.data() + payload, refs[0].payload_bytes));
+  return image;
+}
+
+TEST(TraceReader, ClassifyVerdictMatchesSalvage) {
+  const TraceData d = triage_data();
+  const std::string v2 = v2_bytes(d, 16);
+  const std::string v3 = v3_bytes(d, 16);
+  constexpr std::size_t kEof = 21; // the eof sentinel chunk
+
+  // Raw marker chunks and compressed sample chunks in one v3 file.
+  TraceData markers_only;
+  markers_only.markers = d.markers;
+  TraceData samples_only;
+  samples_only.samples = d.samples;
+  const std::string raw = v2_bytes(markers_only, 4);
+  const std::string packed = v3_bytes(samples_only, 16);
+  const std::string mixed = packed.substr(0, 8) +
+                            raw.substr(8, raw.size() - 8 - kEof) +
+                            packed.substr(8);
+  // Intact chunks after the eof sentinel: salvage keeps reading them.
+  const std::string past_eof = v3 + v3.substr(8, v3.size() - 8 - kEof);
+  const std::vector<std::string> clean = {v2, v3, mixed, past_eof};
+
+  std::vector<std::string> inputs = clean;
+  inputs.emplace_back();
+  inputs.push_back(v3.substr(0, 8)); // a bare header
+  for (std::size_t n = 0; n < v3.size(); ++n) inputs.push_back(v3.substr(0, n));
+  for (std::size_t at = 0; at < v3.size(); ++at) {
+    for (const char mask : {'\x01', '\xff'}) {
+      std::string flipped = v3;
+      flipped[at] = static_cast<char>(flipped[at] ^ mask);
+      inputs.push_back(std::move(flipped));
+    }
+  }
+  const std::string forged = forged_dict_index_image();
+  EXPECT_THROW((void)open_trace_bytes(forged).read(), TraceIoError);
+  inputs.push_back(forged);
+
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const TraceReader r = open_trace_bytes(inputs[i]);
+    const TraceTriage got = classify_trace(r);
+    const TraceTriage want = salvage_triage(r);
+    EXPECT_EQ(got.health, want.health) << "input " << i;
+    EXPECT_EQ(got.rows, want.rows) << "input " << i;
+    EXPECT_EQ(got.report.chunks_ok, want.report.chunks_ok) << "input " << i;
+    EXPECT_EQ(got.report.chunks_corrupt, want.report.chunks_corrupt)
+        << "input " << i;
+    EXPECT_EQ(got.report.chunks_resynced, want.report.chunks_resynced)
+        << "input " << i;
+    EXPECT_EQ(got.report.bytes_skipped, want.report.bytes_skipped)
+        << "input " << i;
+    EXPECT_EQ(got.report.bytes_truncated, want.report.bytes_truncated)
+        << "input " << i;
+    EXPECT_EQ(got.report.header_ok, want.report.header_ok) << "input " << i;
+    EXPECT_EQ(got.report.eof_ok, want.report.eof_ok) << "input " << i;
+  }
+  for (const std::string& image : clean) {
+    EXPECT_EQ(classify_trace(open_trace_bytes(image)).health,
+              TraceHealth::Clean);
+  }
+  // A clean verdict from the walk keeps no records.
+  const TraceTriage t = classify_trace(open_trace_bytes(v3));
+  EXPECT_EQ(t.rows, d.samples.size());
+  EXPECT_TRUE(t.report.data.samples.empty());
+  EXPECT_TRUE(t.report.data.markers.empty());
+}
+
 } // namespace
 } // namespace fluxtrace::io

@@ -9,11 +9,14 @@
 
 #include "test_dir.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "fluxtrace/io/chunked.hpp"
@@ -427,6 +430,29 @@ TEST(TraceV3, FollowerCountsDamagedV3ChunkInLedger) {
   EXPECT_EQ(got.samples.size(), data.samples.size() - v.n_records);
   EXPECT_GE(f.stats().chunks_salvaged + f.stats().chunks_torn, 1u);
   std::remove(path.c_str());
+}
+
+TEST(TraceV3, WriterRejectsChunkSizesItCannotHonour) {
+  const TraceData d = rich_data(8, 8);
+  for (const std::size_t bad :
+       {std::size_t{0}, std::size_t{kMaxChunkRecords} + 1}) {
+    std::ostringstream os;
+    try {
+      write_trace_v3(os, d, bad);
+      FAIL() << "records_per_chunk " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(bad)),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(os.str().empty()) << "nothing is written before the check";
+    const std::string path = temp_path("v3_bad_chunk_size.flxt3");
+    EXPECT_THROW(save_trace_v3(path, d, bad), std::invalid_argument);
+    EXPECT_NE(::access(path.c_str(), F_OK), 0) << "no file is created";
+  }
+  // The bounds themselves are honoured exactly.
+  EXPECT_EQ(index_trace_v2(v3_image(d, 1)).size(), 8u + 8u);
+  EXPECT_EQ(index_trace_v2(v3_image(d, kMaxChunkRecords)).size(), 2u);
 }
 
 TEST(TraceV3, SaveLoadFileRoundTrip) {

@@ -4,17 +4,23 @@
 // tests in this binary touch the same metrics.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include "test_dir.hpp"
 
 #include "fluxtrace/base/wait.hpp"
 #include "fluxtrace/core/integrator.hpp"
 #include "fluxtrace/core/online.hpp"
 #include "fluxtrace/io/chunked.hpp"
 #include "fluxtrace/io/trace_reader.hpp"
+#include "fluxtrace/io/v3.hpp"
 #include "fluxtrace/obs/export.hpp"
 #include "fluxtrace/obs/metrics.hpp"
 #include "fluxtrace/obs/span.hpp"
+#include "fluxtrace/query/engine.hpp"
 #include "fluxtrace/rt/spsc_ring.hpp"
 #include "fluxtrace/rt/thread_pool.hpp"
 #include "fluxtrace/sim/pebs.hpp"
@@ -191,6 +197,77 @@ TEST(ObsIntegration, RingWaitProbeStepsCountersEndToEnd) {
   ASSERT_TRUE(ring.pop().has_value());
   ASSERT_TRUE(ring.push(7));
   EXPECT_EQ(counter_value("rt.ring.full_stalls") - full0, 1u);
+}
+
+/// The spans one call records, with telemetry on just for the call.
+template <typename F>
+std::vector<obs::SpanEvent> spans_of(F&& fn) {
+  (void)obs::SpanLog::global().drain();
+  obs::set_enabled(true);
+  fn();
+  obs::set_enabled(false);
+  return obs::SpanLog::global().drain();
+}
+
+/// True when a `child` span lies within a `parent` span on one thread.
+bool nested(const std::vector<obs::SpanEvent>& spans, const char* child,
+            const char* parent) {
+  for (const obs::SpanEvent& c : spans) {
+    if (std::string(c.name) != child) continue;
+    for (const obs::SpanEvent& p : spans) {
+      if (std::string(p.name) == parent && p.track == c.track &&
+          p.begin <= c.begin && c.end <= p.end) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// The loader's layers each get a span, under whichever load ran them,
+// and triage wraps the salvage it falls back to.
+TEST(ObsIntegration, LoaderLayersAndTriageRecordNestedSpans) {
+  io::TraceData d = tiny_trace();
+  for (int rep = 0; rep < 8; ++rep) {
+    for (const PebsSample& s : tiny_trace().samples) d.samples.push_back(s);
+  }
+  const std::string path = test::private_dir() + "/obs_loader.flxt3";
+  io::save_trace_v3(path, d, 4);
+  SymbolTable symtab;
+  (void)symtab.add("fn", 0x4000);
+  query::EngineOptions eo;
+  eo.threads = 1;
+  eo.write_index = false;
+
+  const auto cold = spans_of([&] {
+    (void)query::QueryEngine::open(path, symtab, eo).run("group core: count");
+  });
+  for (const char* layer : {"query.decode", "query.attribute", "query.zones"}) {
+    EXPECT_TRUE(nested(cold, layer, "query.load_full")) << layer;
+  }
+
+  const auto pruned = spans_of([&] {
+    const query::QueryResult r = query::QueryEngine::open(path, symtab, eo)
+                                     .run("filter ts < 200 | select ts");
+    EXPECT_GT(r.stats.chunks_pruned, 0u);
+  });
+  for (const char* layer : {"query.decode", "query.attribute", "query.zones"}) {
+    EXPECT_TRUE(nested(pruned, layer, "query.load")) << layer;
+  }
+  for (const obs::SpanEvent& e : pruned) {
+    EXPECT_STRNE(e.name, "query.load_full") << "a pruned load decodes once";
+  }
+
+  std::ostringstream os;
+  io::write_trace_v2(os, d, 4);
+  std::string torn = std::move(os).str();
+  torn.resize(torn.size() / 2);
+  const auto triage = spans_of([&] {
+    EXPECT_EQ(io::classify_trace(io::open_trace_bytes(torn)).health,
+              io::TraceHealth::Salvaged);
+  });
+  EXPECT_TRUE(nested(triage, "io.salvage", "io.classify"));
+  std::remove(path.c_str());
 }
 
 } // namespace

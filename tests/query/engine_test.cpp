@@ -13,9 +13,11 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 
 #include "fluxtrace/io/chunked.hpp"
 #include "fluxtrace/io/trace_file.hpp"
+#include "fluxtrace/io/v3.hpp"
 
 namespace fluxtrace::query {
 namespace {
@@ -452,6 +454,68 @@ TEST_F(FlxiFixture, AttributionModeMismatchInvalidatesSidecar) {
   EXPECT_EQ(back.rows, run_fresh(q, false).rows);
 }
 
+TEST_F(FlxiFixture, PrunedLoadsMatchAtEveryThreadCount) {
+  // The id register carries each sample's item too, so register-id mode
+  // prunes on the same ids marker windows assign; app::parse runs only in
+  // the first four items, so a func predicate prunes as well.
+  for (std::size_t i = 0; i < w.data.samples.size(); ++i) {
+    w.data.samples[i].regs.set(kItemIdReg, i / 8);
+    if (i >= 32) w.data.samples[i].ip = w.symtab.ip_at(1 + i % 2, 0.5);
+  }
+  const char* const queries[] = {
+      "filter ts < 60000 | select ts, item, func",
+      "filter item >= 3 && item <= 5 | group func: count, max(ts)",
+      "filter func == \"app::parse\" | group item: count, min(ts)",
+  };
+  for (const int mode : {0, 1, 2, 3}) {
+    const bool v3 = mode >= 2;
+    const bool regs = mode % 2 == 1;
+    if (v3) {
+      io::save_trace_v3(path, w.data, 16);
+    } else {
+      io::save_trace_v2(path, w.data, 16);
+    }
+    EngineOptions o;
+    o.threads = 1;
+    o.use_register_ids = regs;
+    std::remove(flxi_path(path).c_str());
+    (void)QueryEngine::open(path, w.symtab, o).run(""); // sidecar, this mode
+    for (const char* q : queries) {
+      EngineOptions full = o;
+      full.use_index = false;
+      full.write_index = false;
+      const QueryResult want = QueryEngine::open(path, w.symtab, full).run(q);
+      // Pruning may only change how many chunks are read: the answer and
+      // the chunk count equal the unpruned scan's, and the chunk stats do
+      // not depend on the thread count.
+      std::optional<ScanStats> at_one;
+      for (const unsigned threads : {1u, 2u, 4u}) {
+        EngineOptions po = o;
+        po.threads = threads;
+        po.write_index = false;
+        const QueryResult got = QueryEngine::open(path, w.symtab, po).run(q);
+        const std::string where = std::string(q) + " v3=" +
+                                  std::to_string(v3) + " regs=" +
+                                  std::to_string(regs) + " @" +
+                                  std::to_string(threads);
+        EXPECT_TRUE(got.stats.index_used) << where;
+        EXPECT_GT(got.stats.chunks_pruned, 0u) << where;
+        EXPECT_LT(got.stats.rows_scanned, want.stats.rows_scanned) << where;
+        EXPECT_EQ(got.columns, want.columns) << where;
+        EXPECT_EQ(got.rows, want.rows) << where;
+        EXPECT_EQ(got.stats.chunks_total, want.stats.chunks_total) << where;
+        EXPECT_EQ(got.stats.chunks_read + got.stats.chunks_pruned,
+                  got.stats.chunks_total)
+            << where;
+        if (!at_one.has_value()) at_one = got.stats;
+        EXPECT_EQ(got.stats.chunks_read, at_one->chunks_read) << where;
+        EXPECT_EQ(got.stats.chunks_pruned, at_one->chunks_pruned) << where;
+        EXPECT_EQ(got.stats.rows_scanned, at_one->rows_scanned) << where;
+      }
+    }
+  }
+}
+
 TEST(QueryEngineTest, SalvagedTraceStillAnswers) {
   const Workload w = make_workload(8, 8, 5);
   const std::string path = test::private_dir() + "/query_torn.flxt";
@@ -482,7 +546,8 @@ TEST(ColumnarOpenTest, OpenComposesReadAndBuild) {
   const Workload w = make_workload(4, 6);
   const std::string path = test::private_dir() + "/columnar_open.flxt";
   io::save_trace_v2(path, w.data, 16);
-  const ColumnarTrace t = ColumnarTrace::open(path, w.symtab);
+  const ColumnarTrace t =
+      ColumnarTrace::from_reader(io::open_trace(path), w.symtab);
   const ColumnarTrace ref = ColumnarTrace::build(w.data, w.symtab);
   ASSERT_EQ(t.rows(), ref.rows());
   EXPECT_FALSE(t.salvaged());
@@ -513,7 +578,8 @@ TEST(ColumnarOpenTest, OpenSalvagesDamagedFiles) {
     std::ofstream os(path, std::ios::binary);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
-  const ColumnarTrace t = ColumnarTrace::open(path, w.symtab);
+  const ColumnarTrace t =
+      ColumnarTrace::from_reader(io::open_trace(path), w.symtab);
   EXPECT_TRUE(t.salvaged());
   EXPECT_GT(t.rows(), 0u);
   EXPECT_LT(t.rows(), w.data.samples.size());

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <optional>
 #include <sstream>
 
 #include "fluxtrace/io/chunked.hpp"
@@ -160,6 +161,62 @@ TEST(QueryV3, DurQueriesNeverHintPrune) {
   const QueryResult res =
       eng.run("filter ts >= 100000 && dur > 0 | group item: count");
   EXPECT_EQ(res.stats.chunks_pruned_compressed, 0u);
+  std::remove(p3.c_str());
+}
+
+TEST(QueryV3, HintPrunedLoadsMatchAtEveryThreadCount) {
+  // No sidecar: only the in-payload ts hints prune, on v3 and on a v3
+  // file whose sample chunks are raw v2 (hints need compressed chunks).
+  const std::string dir = fresh_dir("hintthreads");
+  Workload w = make_workload(200, 17);
+  for (std::size_t i = 0, item = 0; i < w.data.samples.size(); ++i) {
+    // The id register carries the item whose window holds the sample.
+    while (item + 1 < 200 && w.data.samples[i].tsc > 10000 * (item + 2)) {
+      ++item;
+    }
+    w.data.samples[i].regs.set(kItemIdReg, item);
+  }
+  const std::string p3 = dir + "/t.flxt3";
+  io::save_trace_v3(p3, w.data, 64);
+  const char* const queries[] = {
+      "filter ts >= 300000 && ts < 600000 | select ts, item, func",
+      "filter ts < 900000 && item >= 40 && item < 50 | group func: count",
+      "filter ts >= 1200000 && func == \"app::parse\" | group item: count",
+  };
+  for (const bool regs : {false, true}) {
+    for (const char* q : queries) {
+      EngineOptions full;
+      full.threads = 1;
+      full.use_register_ids = regs;
+      full.use_index = false;
+      full.write_index = false;
+      const QueryResult want = QueryEngine::open(p3, w.symtab, full).run(q);
+      std::optional<ScanStats> at_one;
+      for (const unsigned threads : {1u, 2u, 4u}) {
+        EngineOptions o = full;
+        o.threads = threads;
+        o.use_index = true;
+        const QueryResult got = QueryEngine::open(p3, w.symtab, o).run(q);
+        const std::string where =
+            std::string(q) + " regs=" + std::to_string(regs) + " @" +
+            std::to_string(threads);
+        EXPECT_FALSE(got.stats.index_used) << where;
+        EXPECT_GT(got.stats.chunks_pruned_compressed, 0u) << where;
+        EXPECT_LT(got.stats.rows_scanned, want.stats.rows_scanned) << where;
+        EXPECT_EQ(csv_of(got), csv_of(want)) << where;
+        EXPECT_EQ(got.stats.chunks_total, want.stats.chunks_total) << where;
+        EXPECT_EQ(got.stats.chunks_read + got.stats.chunks_pruned,
+                  got.stats.chunks_total)
+            << where;
+        if (!at_one.has_value()) at_one = got.stats;
+        EXPECT_EQ(got.stats.chunks_read, at_one->chunks_read) << where;
+        EXPECT_EQ(got.stats.chunks_pruned_compressed,
+                  at_one->chunks_pruned_compressed)
+            << where;
+        EXPECT_EQ(got.stats.rows_scanned, at_one->rows_scanned) << where;
+      }
+    }
+  }
   std::remove(p3.c_str());
 }
 
