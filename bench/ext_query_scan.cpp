@@ -1,5 +1,5 @@
 // Extension: the trace query engine over a 1M-sample FLXT v2 trace.
-// Five claims are measured and *asserted*, not just printed:
+// Four claims are measured and *asserted*, not just printed:
 //
 //   1. the cold full scan (decode + columnar build + batch scan) holds
 //      the ISSUE 7 budget: >= 5x faster than the recorded per-row
@@ -8,10 +8,7 @@
 //      FLXI sidecar — strictly fewer chunks read than the full scan —
 //      and skips blocks through the zone maps;
 //   3. the pruned result is byte-identical to the index-free result;
-//   4. the vectorized batch kernels are bit-identical to the portable
-//      scalar interpreter (EngineOptions::portable_eval) on every
-//      query shape tried;
-//   5. the parallel scan is bit-identical to the sequential one at
+//   4. the parallel scan is bit-identical to the sequential one at
 //      every thread count tried, and scales when the host has cores to
 //      scale onto (graduated by the measured parallelism, common.hpp).
 //
@@ -165,37 +162,7 @@ int main() {
                 pruned.rows.size());
   }
 
-  // ---- 4. vectorized kernels == portable scalar interpreter ----------
-  {
-    const char* queries[] = {
-        "group func: count, sum(dur), p99(ts)",
-        "filter ts % 5 != 0 && item >= 0 | group core: count, sum(ts)",
-        "filter item * 3 - ts / 7 > 0 | select item, func, ts | limit 5000",
-        "filter dur > 0 | outliers k=2.5",
-    };
-    for (const bool portable : {false, true}) {
-      query::EngineOptions opts;
-      opts.threads = 1;
-      opts.use_index = false;
-      opts.write_index = false;
-      opts.portable_eval = portable;
-      query::QueryEngine eng = query::QueryEngine::open(path, w.symtab, opts);
-      static std::map<std::string, query::QueryResult> ref;
-      for (const char* q : queries) {
-        query::QueryResult res = eng.run(q);
-        if (!portable) {
-          ref[q] = std::move(res);
-        } else {
-          require(res.rows == ref[q].rows && res.columns == ref[q].columns,
-                  "portable scalar result bit-identical to vectorized");
-        }
-      }
-    }
-    std::printf("portable   : scalar interpreter == vectorized kernels "
-                "(4 query shapes)\n");
-  }
-
-  // ---- 5. parallel sweep: bit-identical at every thread count --------
+  // ---- 4. parallel sweep: bit-identical at every thread count --------
   std::printf("\nparallel scan sweep (filter + group, no index):\n");
   query::QueryResult seq_ref;
   std::map<unsigned, double> sweep_ms;
@@ -261,7 +228,7 @@ int main() {
   std::remove(path.c_str());
   std::remove(query::flxi_path(path).c_str());
   std::printf("\nall assertions held: cold scan within the 5x budget, "
-              "pruning reads fewer\nchunks, results identical, portable == "
-              "vectorized, parallel == sequential\nat every thread count.\n");
+              "pruning reads fewer\nchunks, results identical, parallel == "
+              "sequential at every thread count.\n");
   return 0;
 }

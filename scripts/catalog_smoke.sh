@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI catalog smoke (ISSUE 9): ingest the deterministic example trace
 # into a fresh catalog and run the canned flxt_query pipelines through
-# --catalog federation. Every answer must be byte-identical to the
+# --catalog federation, then do the same for the wait-graph demo trace
+# and the wait stages. Every answer must be byte-identical to the
 # single-trace goldens in tests/golden/ — federation must never change
 # a byte — and the ledger must account every member as ok.
 #
@@ -36,6 +37,36 @@ declare -A QUERIES=(
 fail=0
 for name in group_func filter_item topk_items select_rows outliers; do
   "$BUILD/tools/flxt_query" "$CAT" "$SYMS" "${QUERIES[$name]}" \
+    --catalog --csv > "$TMP/$name.csv" 2> "$TMP/$name.ledger"
+  if ! diff -u "$GOLDEN/query_$name.csv" "$TMP/$name.csv"; then
+    echo "FAIL: federated $name diverges from $GOLDEN/query_$name.csv" >&2
+    fail=1
+  elif ! grep -q 'traces: 1 ok, 0 salvaged, 0 quarantined, 0 skipped' \
+      "$TMP/$name.ledger"; then
+    echo "FAIL: $name ledger: $(cat "$TMP/$name.ledger")" >&2
+    fail=1
+  else
+    echo "ok: federated $name"
+  fi
+done
+
+# Wait leg: the head-of-line demo's wait edges, ingested into a second
+# catalog, must federate to the single-trace critical_path/blocked_by
+# goldens — the wait stages fan out and merge like every other stage.
+"$BUILD/examples/waitgraph_demo" "$TMP/wait.flxt" > /dev/null
+WSYMS="$TMP/wait.flxt.syms"
+WCAT="$TMP/wait_catalog"
+mkdir "$WCAT"
+mv "$TMP/wait.flxt" "$WCAT/member.flxt"
+"$BUILD/tools/flxt_hub" ingest "$WCAT" "$WSYMS" > "$TMP/wait_ingest.out"
+grep -q '1 registered' "$TMP/wait_ingest.out"
+
+declare -A WAIT_QUERIES=(
+  [critical_path]='filter item >= 0 | critical_path | top 5 by blocked'
+  [blocked_by]='filter item >= 0 | blocked_by'
+)
+for name in critical_path blocked_by; do
+  "$BUILD/tools/flxt_query" "$WCAT" "$WSYMS" "${WAIT_QUERIES[$name]}" \
     --catalog --csv > "$TMP/$name.csv" 2> "$TMP/$name.ledger"
   if ! diff -u "$GOLDEN/query_$name.csv" "$TMP/$name.csv"; then
     echo "FAIL: federated $name diverges from $GOLDEN/query_$name.csv" >&2

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <mutex>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include <dirent.h>
@@ -242,9 +241,7 @@ IngestReport Catalog::ingest() {
   report.errors = sr.errors;
   report.failed += sr.errors.size();
 
-  const unsigned n_shards = std::max(
-      1u, opts_.threads != 0 ? opts_.threads
-                             : std::thread::hardware_concurrency());
+  const unsigned n_shards = rt::resolve_threads(opts_.threads);
   std::vector<ShardBreaker> breakers(n_shards);
   std::mutex commit_mu; // serializes manifest appends + report/stats
 

@@ -69,9 +69,8 @@ std::size_t count_nodes(const Expr& e) {
 
 } // namespace
 
-BatchEvaluator::BatchEvaluator(const Expr& e, bool portable)
-    : expr_(&e), portable_(portable) {
-  if (!portable_) scratch_.reserve(count_nodes(e));
+BatchEvaluator::BatchEvaluator(const Expr& e) : expr_(&e) {
+  scratch_.reserve(count_nodes(e));
 }
 
 std::int64_t* BatchEvaluator::slot() {
@@ -224,14 +223,6 @@ BatchEvaluator::Operand BatchEvaluator::eval_node(const Expr& e,
 void BatchEvaluator::eval(const ColumnBlock& block, std::int64_t* out) {
   n_ = block.rows;
   next_slot_ = 0;
-  if (portable_) {
-    FieldVals row;
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (std::size_t f = 0; f < kNumFields; ++f) row.v[f] = block.col[f][i];
-      out[i] = expr_->eval(row);
-    }
-    return;
-  }
   const Operand r = eval_node(*expr_, block);
   if (r.data == nullptr) {
     std::fill(out, out + n_, r.c);
@@ -245,14 +236,6 @@ std::size_t BatchEvaluator::select(const ColumnBlock& block,
   n_ = block.rows;
   next_slot_ = 0;
   std::size_t m = 0;
-  if (portable_) {
-    FieldVals row;
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (std::size_t f = 0; f < kNumFields; ++f) row.v[f] = block.col[f][i];
-      if (expr_->test(row)) out_idx[m++] = static_cast<std::uint32_t>(i);
-    }
-    return m;
-  }
   const Operand r = eval_node(*expr_, block);
   if (r.data == nullptr) {
     if (r.c == 0) return 0;

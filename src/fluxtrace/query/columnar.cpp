@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <thread>
 
 #include "fluxtrace/base/regs.hpp"
 #include "fluxtrace/core/attribution.hpp"
@@ -188,9 +187,7 @@ ColumnarTrace ColumnarTrace::from_reader(const io::TraceReader& reader,
         std::ranges::count_if(chunks, [](const io::V2ChunkRef& r) {
           return io::is_sample_chunk_type(r.type);
         }));
-    const unsigned n =
-        n_threads != 0 ? n_threads
-                       : std::max(1u, std::thread::hardware_concurrency());
+    const unsigned n = rt::resolve_threads(n_threads);
     std::optional<rt::ThreadPool> pool;
     if (n > 1 && n_samples > 1) {
       pool.emplace(static_cast<unsigned>(std::min<std::size_t>(n, n_samples)));

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "fluxtrace/io/chunked.hpp"
@@ -83,6 +83,34 @@ bool Query::references_dur() const {
   return (fields_used() & field_bit(Field::Dur)) != 0;
 }
 
+std::vector<Field> Query::row_fields() const {
+  if (!select.empty()) return select;
+  return {Field::Item, Field::Func, Field::Core,
+          Field::Ts,   Field::Dur,  Field::Ip};
+}
+
+std::vector<std::string> Query::columns() const {
+  static constexpr std::string_view kOutlierColumns[] = {
+      "item", "func", "elapsed", "mean", "sigma", "sigmas"};
+  std::vector<std::string> out;
+  const auto add = [&out](const auto& names) {
+    for (const auto& n : names) out.emplace_back(n);
+  };
+  if (critical_path) {
+    add(kCriticalPathColumns);
+  } else if (blocked_by) {
+    add(kBlockedByColumns);
+  } else if (outliers.has_value()) {
+    add(kOutlierColumns);
+  } else if (!aggs.empty()) {
+    for (const Field f : group_keys) out.emplace_back(to_string(f));
+    for (const Aggregate& a : aggs) out.push_back(a.name());
+  } else {
+    for (const Field f : row_fields()) out.emplace_back(to_string(f));
+  }
+  return out;
+}
+
 namespace {
 
 Field expect_field(Lexer& lex) {
@@ -146,8 +174,9 @@ Query parse_query(std::string_view text, const SymbolTable* symtab) {
   if (lex.at(Tok::End)) return q; // empty query: every row, every column
 
   // Canonical stage order, each at most once: filter < one of
-  // select/group/outliers < top < limit.
+  // select/group/outliers/critical_path/blocked_by < top < limit.
   int last_rank = -1;
+  Token top_col;
   for (;;) {
     const Token t = lex.expect(
         Tok::Ident, "a stage (filter/select/group/outliers/critical_path/"
@@ -204,7 +233,8 @@ Query parse_query(std::string_view text, const SymbolTable* symtab) {
       if (by.text != "by") {
         throw ParseError("expected 'by' after the top-N count", by.pos);
       }
-      tk.by = lex.expect(Tok::Ident, "an output column name").text;
+      top_col = lex.expect(Tok::Ident, "an output column name");
+      tk.by = top_col.text;
       q.topk = tk;
     } else if (t.text == "limit") {
       rank = 3;
@@ -229,13 +259,25 @@ Query parse_query(std::string_view text, const SymbolTable* symtab) {
                          Lexer::describe(lex.peek()) + "'",
                      lex.peek().pos);
   }
-  if ((q.critical_path || q.blocked_by) && q.filter) {
+  if (q.wait_stage() && q.filter) {
     // Wait-edge scans have no func/ip column; the remaining names map
     // onto the edge: item = waiter item, core = waiter core, ts = enter,
     // dur = blocked duration.
     q.filter->bind_check(field_bit(Field::Item) | field_bit(Field::Core) |
                              field_bit(Field::Ts) | field_bit(Field::Dur),
                          "a wait-edge stage");
+  }
+  if (q.topk.has_value()) {
+    const std::vector<std::string> cols = q.columns();
+    const auto it = std::find(cols.begin(), cols.end(), q.topk->by);
+    if (it == cols.end()) {
+      std::string have;
+      for (const std::string& c : cols) have += (have.empty() ? "" : " ") + c;
+      throw ParseError("top: unknown output column '" + q.topk->by +
+                           "' (have: " + have + ")",
+                       top_col.pos);
+    }
+    q.topk->column = static_cast<std::size_t>(it - cols.begin());
   }
   return q;
 }
@@ -263,6 +305,14 @@ Cell Cell::of_text(std::string v) {
   return c;
 }
 
+Cell Cell::of_field(Field f, std::int64_t v, const SymbolTable& symtab) {
+  if (f == Field::Func && v >= 0 &&
+      static_cast<std::size_t>(v) < symtab.size()) {
+    return of_text(std::string(symtab.name(static_cast<SymbolId>(v))));
+  }
+  return of_int(v);
+}
+
 std::string Cell::str() const {
   switch (kind) {
     case Kind::Int: return std::to_string(i);
@@ -284,6 +334,15 @@ bool Cell::less(const Cell& other) const {
     case Kind::Text: return s < other.s;
   }
   return false;
+}
+
+std::vector<Cell> outlier_row(const core::Anomaly& a,
+                              const SymbolTable& symtab) {
+  return {Cell::of_int(static_cast<std::int64_t>(a.item)),
+          Cell::of_field(Field::Func, static_cast<std::int64_t>(a.fn), symtab),
+          Cell::of_int(static_cast<std::int64_t>(a.elapsed)),
+          Cell::of_real(a.mean), Cell::of_real(a.sigma),
+          Cell::of_real(a.deviation())};
 }
 
 // --- engine -------------------------------------------------------------
@@ -325,10 +384,19 @@ QueryEngine QueryEngine::from_data(const io::TraceData& data,
 }
 
 rt::ThreadPool* QueryEngine::decode_pool(std::size_t sample_chunks) {
-  const unsigned threads =
-      opts_.threads == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                         : opts_.threads;
+  const unsigned threads = rt::resolve_threads(opts_.threads);
   return threads > 1 && sample_chunks > 1 ? &pool(threads) : nullptr;
+}
+
+void QueryEngine::for_each_block(
+    std::size_t n_blocks, std::size_t live_blocks,
+    const std::function<void(std::size_t)>& run_block) {
+  const unsigned threads = rt::resolve_threads(opts_.threads);
+  if (threads > 1 && live_blocks > 1) {
+    pool(threads).parallel_for(n_blocks, run_block);
+  } else {
+    for (std::size_t b = 0; b < n_blocks; ++b) run_block(b);
+  }
 }
 
 void QueryEngine::ensure_full_loaded() {
@@ -430,9 +498,7 @@ QueryEngine::Loaded QueryEngine::load_for(const Query& q,
                                           std::optional<ColumnarTrace>& scratch) {
   OBS_SPAN("query.load");
   Loaded out;
-  out.stats.threads = opts_.threads == 0
-                          ? std::max(1u, std::thread::hardware_concurrency())
-                          : opts_.threads;
+  out.stats.threads = rt::resolve_threads(opts_.threads);
 
   const PruneHints hints =
       q.filter ? extract_prune_hints(*q.filter) : PruneHints{};
@@ -520,17 +586,15 @@ QueryEngine::Loaded QueryEngine::load_for(const Query& q,
 
 namespace {
 
-// The aggregate merge algebra lives in partials.hpp now, shared verbatim
-// with the streaming executor (stream.hpp) so `--follow` snapshots and
-// cold batch runs can never disagree on what p95_dur means.
-using GroupAcc = GroupPartial;
-
 /// One scan block's private results; merged in block-index order so the
-/// final result is independent of which thread ran which block.
+/// final result is independent of which thread ran which block. The
+/// aggregate algebra lives in partials.hpp, shared verbatim with the
+/// streaming executor, so `--follow` snapshots and cold batch runs can
+/// never disagree on what p95_dur means.
 struct BlockOut {
   std::size_t matched = 0;
   std::vector<std::uint32_t> rows; ///< row mode: matched in-block offsets
-  std::map<std::vector<std::int64_t>, GroupAcc> groups;
+  GroupMap groups;
   /// outliers mode: {item, func} -> dur (identical for every row of a
   /// bucket, so last-write-wins is deterministic)
   std::map<std::pair<std::int64_t, std::int64_t>, std::int64_t> buckets;
@@ -571,8 +635,7 @@ bool zone_may_match(const PruneHints& h, const ZoneMap& z) {
 /// parts array per-row (the old per-row writes false-shared cache lines
 /// between adjacent blocks).
 void scan_block(const Query& q, const ColumnarTrace& t, Mode mode,
-                bool portable, std::size_t begin, std::size_t end,
-                BlockOut& out) {
+                std::size_t begin, std::size_t end, BlockOut& out) {
   BlockOut local;
   const ColumnBlock block = t.block(begin, end);
   const std::size_t rows = block.rows;
@@ -583,7 +646,7 @@ void scan_block(const Query& q, const ColumnarTrace& t, Mode mode,
   std::size_t m = rows;
   if (q.filter) {
     sel.resize(rows);
-    BatchEvaluator ev(*q.filter, portable);
+    BatchEvaluator ev(*q.filter);
     m = ev.select(block, sel.data());
   }
   local.matched = m;
@@ -629,11 +692,11 @@ void scan_block(const Query& q, const ColumnarTrace& t, Mode mode,
         if (last == local.groups.end() || last->first != key) {
           last = local.groups.find(key);
           if (last == local.groups.end()) {
-            last = local.groups.emplace(key, GroupAcc{}).first;
+            last = local.groups.emplace(key, GroupPartial{}).first;
             last->second.aggs.resize(na);
           }
         }
-        GroupAcc& g = last->second;
+        GroupPartial& g = last->second;
         ++g.count;
         for (std::size_t a = 0; a < na; ++a) {
           g.aggs[a].observe(q.aggs[a], agg_col[a][i]);
@@ -666,15 +729,79 @@ QueryResult QueryEngine::run(std::string_view query_text) {
 QueryResult QueryEngine::run(const Query& q) {
   OBS_SPAN("query.run");
   QueryMetrics::get().runs.inc();
-
-  if (q.critical_path || q.blocked_by) return run_wait(q);
-
   std::vector<ExecPartial> parts;
   parts.push_back(run_partial(q));
   return finish_partials(q, symtab_, std::move(parts));
 }
 
+void QueryEngine::ensure_wait_edges_loaded() {
+  if (wait_loaded_) return;
+  wait_loaded_ = true;
+  // Wait edges only exist in chunk-family images (v2 raw, v3
+  // compressed). Any other image fails the strict walk and is salvaged,
+  // as the sample loader does: a chunked trace whose file header was
+  // destroyed still yields its edges, and a foreign file yields none
+  // and says so.
+  const std::string_view bytes = reader_.bytes();
+  try {
+    io::TraceData scratch;
+    for (const io::V2ChunkRef& ref : io::index_trace_v2(bytes)) {
+      if (!io::is_wait_chunk_type(ref.type)) continue;
+      io::decode_trace_v2_chunk(bytes, ref, scratch);
+    }
+    wait_edges_ = std::move(scratch.wait_edges);
+  } catch (const io::TraceIoError&) {
+    wait_edges_ = io::salvage_trace(bytes).data.wait_edges;
+    wait_salvaged_ = true;
+  }
+}
+
 ExecPartial QueryEngine::run_partial(const Query& q) {
+  const std::size_t block = opts_.block_rows;
+  const auto blocks_of = [block](std::size_t n) {
+    return n == 0 ? 0 : (n + block - 1) / block;
+  };
+  ExecPartial part;
+
+  if (q.wait_stage()) {
+    // Wait stages fold the wait-edge stream into one WaitGraph per block
+    // and decode no sample chunk.
+    std::vector<WaitGraph> graphs;
+    std::vector<std::size_t> matched;
+    {
+      OBS_SPAN("query.wait_scan");
+      ensure_wait_edges_loaded();
+      const std::size_t n = wait_edges_.size();
+      graphs.resize(blocks_of(n));
+      matched.assign(graphs.size(), 0);
+      for_each_block(graphs.size(), graphs.size(), [&](std::size_t b) {
+        // Accumulate locally and move once, like scan_block.
+        WaitGraph g;
+        std::size_t m = 0;
+        const std::size_t end = std::min(n, (b + 1) * block);
+        for (std::size_t i = b * block; i < end; ++i) {
+          const WaitEdge& e = wait_edges_[i];
+          if (q.filter && !q.filter->test(wait_edge_fields(e))) continue;
+          g.observe(e);
+          ++m;
+        }
+        graphs[b] = std::move(g);
+        matched[b] = m;
+      });
+    }
+    {
+      OBS_SPAN("query.merge");
+      for (WaitGraph& g : graphs) part.wait.merge(std::move(g));
+    }
+    part.stats.wait_stage = true;
+    part.stats.wait_edges = wait_edges_.size();
+    part.stats.rows_scanned = wait_edges_.size();
+    for (const std::size_t m : matched) part.stats.rows_matched += m;
+    part.stats.salvaged = wait_salvaged_;
+    part.stats.threads = rt::resolve_threads(opts_.threads);
+    return part;
+  }
+
   std::optional<ColumnarTrace> scratch;
   Loaded loaded = load_for(q, scratch);
   const ColumnarTrace& t = *loaded.table;
@@ -686,8 +813,7 @@ ExecPartial QueryEngine::run_partial(const Query& q) {
   // Fixed-size blocks, merged in block order: the thread count never
   // shows in the result bytes.
   const std::size_t n = t.rows();
-  const std::size_t block = opts_.block_rows;
-  const std::size_t n_blocks = n == 0 ? 0 : (n + block - 1) / block;
+  const std::size_t n_blocks = blocks_of(n);
 
   // Zone-map block skipping: when the store's zones line up with the
   // scan blocks and the filter yields selective hints, blocks whose
@@ -712,20 +838,13 @@ ExecPartial QueryEngine::run_partial(const Query& q) {
   std::vector<BlockOut> blocks(n_blocks);
   {
     OBS_SPAN("query.scan");
-    const auto run_block = [&](std::size_t b) {
+    for_each_block(n_blocks, n_blocks - blocks_skipped, [&](std::size_t b) {
       if (skip[b]) return;
-      const std::size_t begin = b * block;
-      const std::size_t end = std::min(n, begin + block);
-      scan_block(q, t, mode, opts_.portable_eval, begin, end, blocks[b]);
-    };
-    if (loaded.stats.threads > 1 && n_blocks - blocks_skipped > 1) {
-      pool(loaded.stats.threads).parallel_for(n_blocks, run_block);
-    } else {
-      for (std::size_t b = 0; b < n_blocks; ++b) run_block(b);
-    }
+      scan_block(q, t, mode, b * block, std::min(n, (b + 1) * block),
+                 blocks[b]);
+    });
   }
 
-  ExecPartial part;
   part.stats = loaded.stats;
   part.stats.rows_scanned = n - rows_skipped;
   part.stats.blocks_total = n_blocks;
@@ -735,22 +854,12 @@ ExecPartial QueryEngine::run_partial(const Query& q) {
   QueryMetrics::get().rows_matched.inc(part.stats.rows_matched);
   QueryMetrics::get().blocks_skipped.inc(blocks_skipped);
 
+  OBS_SPAN("query.merge");
   switch (mode) {
     case Mode::Rows: {
       // Render straight to cells here (per-row pure, so per-trace
       // rendering then concatenation is the concatenated rendering).
-      const auto func_cell = [&](std::int64_t id) {
-        if (id >= 0 && static_cast<std::size_t>(id) < symtab_.size()) {
-          return Cell::of_text(
-              std::string(symtab_.name(static_cast<SymbolId>(id))));
-        }
-        return Cell::of_int(id);
-      };
-      const std::vector<Field> cols =
-          q.select.empty()
-              ? std::vector<Field>{Field::Item, Field::Func, Field::Core,
-                                   Field::Ts,   Field::Dur,  Field::Ip}
-              : q.select;
+      const std::vector<Field> cols = q.row_fields();
       std::vector<std::span<const std::int64_t>> proj;
       proj.reserve(cols.size());
       for (const Field f : cols) proj.push_back(t.col(f));
@@ -761,9 +870,7 @@ ExecPartial QueryEngine::run_partial(const Query& q) {
           std::vector<Cell> row;
           row.reserve(cols.size());
           for (std::size_t c = 0; c < cols.size(); ++c) {
-            row.push_back(cols[c] == Field::Func
-                              ? func_cell(proj[c][i])
-                              : Cell::of_int(proj[c][i]));
+            row.push_back(Cell::of_field(cols[c], proj[c][i], symtab_));
           }
           part.rows.push_back(std::move(row));
         }
@@ -772,15 +879,7 @@ ExecPartial QueryEngine::run_partial(const Query& q) {
     }
     case Mode::Group: {
       for (BlockOut& p : blocks) {
-        for (auto& [key, acc] : p.groups) {
-          auto [it, inserted] = part.groups.try_emplace(key, std::move(acc));
-          if (!inserted) {
-            it->second.count += acc.count;
-            for (std::size_t a = 0; a < q.aggs.size(); ++a) {
-              it->second.aggs[a].merge(q.aggs[a], std::move(acc.aggs[a]));
-            }
-          }
-        }
+        merge_groups(part.groups, std::move(p.groups), q.aggs);
       }
       break;
     }
@@ -795,223 +894,75 @@ ExecPartial QueryEngine::run_partial(const Query& q) {
 QueryResult QueryEngine::finish_partials(const Query& q,
                                          const SymbolTable& symtab,
                                          std::vector<ExecPartial> parts) {
-  const Mode mode = q.outliers.has_value() ? Mode::Outliers
-                    : !q.aggs.empty()      ? Mode::Group
-                                           : Mode::Rows;
+  // Merge, in partial order. Only the stage's own payload is non-empty,
+  // so merging every payload costs nothing for the others.
+  ExecPartial all;
+  {
+    OBS_SPAN("query.merge");
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      ExecPartial& p = parts[i];
+      if (i == 0) {
+        all = std::move(p);
+        continue;
+      }
+      ScanStats& m = all.stats;
+      const ScanStats& s = p.stats;
+      m.chunks_total += s.chunks_total;
+      m.chunks_read += s.chunks_read;
+      m.chunks_pruned += s.chunks_pruned;
+      m.chunks_pruned_compressed += s.chunks_pruned_compressed;
+      m.rows_scanned += s.rows_scanned;
+      m.rows_matched += s.rows_matched;
+      m.blocks_total += s.blocks_total;
+      m.blocks_skipped += s.blocks_skipped;
+      m.wait_edges += s.wait_edges;
+      m.index_used = m.index_used || s.index_used;
+      m.index_written = m.index_written || s.index_written;
+      m.salvaged = m.salvaged || s.salvaged;
+      m.wait_stage = m.wait_stage || s.wait_stage;
+      m.threads = std::max(m.threads, s.threads);
+      all.rows.insert(all.rows.end(), std::make_move_iterator(p.rows.begin()),
+                      std::make_move_iterator(p.rows.end()));
+      merge_groups(all.groups, std::move(p.groups), q.aggs);
+      all.buckets.merge(p.buckets);
+      all.wait.merge(std::move(p.wait));
+    }
+  }
 
+  OBS_SPAN("query.finish");
   QueryResult res;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    const ScanStats& s = parts[i].stats;
-    if (i == 0) {
-      res.stats = s;
-      continue;
+  res.stats = all.stats;
+  res.columns = q.columns();
+  res.rows = std::move(all.rows);
+  if (!q.aggs.empty()) {
+    for (auto& [key, acc] : all.groups) {
+      std::vector<Cell> row;
+      row.reserve(key.size() + q.aggs.size());
+      for (std::size_t k = 0; k < key.size(); ++k) {
+        row.push_back(Cell::of_field(q.group_keys[k], key[k], symtab));
+      }
+      for (std::size_t a = 0; a < q.aggs.size(); ++a) {
+        row.push_back(Cell::of_int(acc.aggs[a].finish(q.aggs[a], acc.count)));
+      }
+      res.rows.push_back(std::move(row));
     }
-    res.stats.chunks_total += s.chunks_total;
-    res.stats.chunks_read += s.chunks_read;
-    res.stats.chunks_pruned += s.chunks_pruned;
-    res.stats.chunks_pruned_compressed += s.chunks_pruned_compressed;
-    res.stats.rows_scanned += s.rows_scanned;
-    res.stats.rows_matched += s.rows_matched;
-    res.stats.blocks_total += s.blocks_total;
-    res.stats.blocks_skipped += s.blocks_skipped;
-    res.stats.wait_edges += s.wait_edges;
-    res.stats.index_used = res.stats.index_used || s.index_used;
-    res.stats.index_written = res.stats.index_written || s.index_written;
-    res.stats.salvaged = res.stats.salvaged || s.salvaged;
-    res.stats.wait_stage = res.stats.wait_stage || s.wait_stage;
-    res.stats.threads = std::max(res.stats.threads, s.threads);
-  }
-
-  // Render func ids as names so results read like flxt_report output;
-  // unresolved ids (-1) stay numeric.
-  const auto func_cell = [&](std::int64_t id) {
-    if (id >= 0 && static_cast<std::size_t>(id) < symtab.size()) {
-      return Cell::of_text(
-          std::string(symtab.name(static_cast<SymbolId>(id))));
+  } else if (q.outliers.has_value()) {
+    core::FluctuationDetector det(q.outliers->config);
+    for (const auto& [key, dur] : all.buckets) {
+      det.observe(static_cast<ItemId>(key.first),
+                  static_cast<SymbolId>(key.second), static_cast<Tsc>(dur));
     }
-    return Cell::of_int(id);
-  };
-  const auto field_cell = [&](Field f, std::int64_t v) {
-    return f == Field::Func ? func_cell(v) : Cell::of_int(v);
-  };
-
-  switch (mode) {
-    case Mode::Rows: {
-      const std::vector<Field> cols =
-          q.select.empty()
-              ? std::vector<Field>{Field::Item, Field::Func, Field::Core,
-                                   Field::Ts,   Field::Dur,  Field::Ip}
-              : q.select;
-      for (const Field f : cols) {
-        res.columns.emplace_back(to_string(f));
-      }
-      for (ExecPartial& p : parts) {
-        for (std::vector<Cell>& row : p.rows) {
-          res.rows.push_back(std::move(row));
-        }
-      }
-      break;
+    for (const core::Anomaly& a : det.anomalies()) {
+      res.rows.push_back(outlier_row(a, symtab));
     }
-    case Mode::Group: {
-      for (const Field f : q.group_keys) {
-        res.columns.emplace_back(to_string(f));
-      }
-      for (const Aggregate& a : q.aggs) res.columns.push_back(a.name());
-      std::map<std::vector<std::int64_t>, GroupAcc> merged;
-      for (ExecPartial& p : parts) {
-        for (auto& [key, acc] : p.groups) {
-          auto [it, inserted] = merged.try_emplace(key, std::move(acc));
-          if (!inserted) {
-            it->second.count += acc.count;
-            for (std::size_t a = 0; a < q.aggs.size(); ++a) {
-              it->second.aggs[a].merge(q.aggs[a], std::move(acc.aggs[a]));
-            }
-          }
-        }
-      }
-      for (auto& [key, acc] : merged) {
-        std::vector<Cell> row;
-        row.reserve(key.size() + q.aggs.size());
-        for (std::size_t k = 0; k < key.size(); ++k) {
-          row.push_back(field_cell(q.group_keys[k], key[k]));
-        }
-        for (std::size_t a = 0; a < q.aggs.size(); ++a) {
-          row.push_back(Cell::of_int(acc.aggs[a].finish(q.aggs[a],
-                                                        acc.count)));
-        }
-        res.rows.push_back(std::move(row));
-      }
-      break;
-    }
-    case Mode::Outliers: {
-      res.columns = {"item", "func", "elapsed", "mean", "sigma", "sigmas"};
-      std::map<std::pair<std::int64_t, std::int64_t>, std::int64_t> merged;
-      for (ExecPartial& p : parts) merged.merge(p.buckets);
-      core::FluctuationDetector det(q.outliers->config);
-      for (const auto& [key, dur] : merged) {
-        det.observe(static_cast<ItemId>(key.first),
-                    static_cast<SymbolId>(key.second),
-                    static_cast<Tsc>(dur));
-      }
-      for (const core::Anomaly& a : det.anomalies()) {
-        std::vector<Cell> row;
-        row.push_back(Cell::of_int(static_cast<std::int64_t>(a.item)));
-        row.push_back(func_cell(static_cast<std::int64_t>(a.fn)));
-        row.push_back(Cell::of_int(static_cast<std::int64_t>(a.elapsed)));
-        row.push_back(Cell::of_real(a.mean));
-        row.push_back(Cell::of_real(a.sigma));
-        row.push_back(Cell::of_real(a.deviation()));
-        res.rows.push_back(std::move(row));
-      }
-      break;
-    }
+  } else if (q.wait_stage()) {
+    res.rows = (q.critical_path ? finish_critical_path(std::move(all.wait))
+                                : finish_blocked_by(all.wait))
+                   .rows;
   }
 
   if (q.topk.has_value()) {
-    const auto it =
-        std::find(res.columns.begin(), res.columns.end(), q.topk->by);
-    if (it == res.columns.end()) {
-      throw ParseError("top: unknown output column '" + q.topk->by + "'", 0);
-    }
-    const std::size_t ci = static_cast<std::size_t>(it - res.columns.begin());
-    std::stable_sort(res.rows.begin(), res.rows.end(),
-                     [ci](const std::vector<Cell>& x,
-                          const std::vector<Cell>& y) {
-                       return y[ci].less(x[ci]);
-                     });
-    if (res.rows.size() > q.topk->n) res.rows.resize(q.topk->n);
-  }
-  if (q.limit.has_value() && res.rows.size() > *q.limit) {
-    res.rows.resize(*q.limit);
-  }
-  return res;
-}
-
-void QueryEngine::ensure_wait_edges_loaded() {
-  if (wait_loaded_) return;
-  wait_loaded_ = true;
-  // Wait edges only exist in chunk-family images (v2 raw, v3
-  // compressed); an unrecognized image simply has none (an empty graph,
-  // not an error).
-  if (!io::is_chunked_format(reader_.format())) return;
-  const std::string_view bytes = reader_.bytes();
-  try {
-    io::TraceData scratch;
-    for (const io::V2ChunkRef& ref : io::index_trace_v2(bytes)) {
-      if (!io::is_wait_chunk_type(ref.type)) continue;
-      io::decode_trace_v2_chunk(bytes, ref, scratch);
-    }
-    wait_edges_ = std::move(scratch.wait_edges);
-  } catch (const io::TraceIoError&) {
-    wait_edges_ = io::salvage_trace(bytes).data.wait_edges;
-    wait_salvaged_ = true;
-  }
-}
-
-QueryResult QueryEngine::run_wait(const Query& q) {
-  OBS_SPAN("query.wait_scan");
-  ensure_wait_edges_loaded();
-
-  const unsigned threads = opts_.threads == 0
-                               ? std::max(1u, std::thread::hardware_concurrency())
-                               : opts_.threads;
-
-  // Fixed-size blocks folded into WaitGraph partials and merged in block
-  // order — the same determinism discipline as the sample scan, so the
-  // thread count never shows in the result bytes.
-  const std::size_t n = wait_edges_.size();
-  const std::size_t block = opts_.block_rows;
-  const std::size_t n_blocks = n == 0 ? 0 : (n + block - 1) / block;
-
-  struct WaitBlockOut {
-    WaitGraph graph;
-    std::size_t matched = 0;
-  };
-  std::vector<WaitBlockOut> parts(n_blocks);
-  const auto run_block = [&](std::size_t b) {
-    const std::size_t begin = b * block;
-    const std::size_t end = std::min(n, begin + block);
-    WaitBlockOut out;
-    for (std::size_t i = begin; i < end; ++i) {
-      const WaitEdge& e = wait_edges_[i];
-      if (q.filter) {
-        FieldVals fv;
-        fv.set(Field::Item, static_cast<std::int64_t>(e.item));
-        fv.set(Field::Core, e.waiter_core);
-        fv.set(Field::Ts, static_cast<std::int64_t>(e.enter));
-        fv.set(Field::Dur, static_cast<std::int64_t>(e.blocked()));
-        if (!q.filter->test(fv)) continue;
-      }
-      out.graph.observe(e);
-      ++out.matched;
-    }
-    parts[b] = std::move(out);
-  };
-  if (threads > 1 && n_blocks > 1) {
-    pool(threads).parallel_for(n_blocks, run_block);
-  } else {
-    for (std::size_t b = 0; b < n_blocks; ++b) run_block(b);
-  }
-
-  WaitGraph graph;
-  for (WaitBlockOut& p : parts) graph.merge(std::move(p.graph));
-
-  QueryResult res = q.critical_path ? finish_critical_path(std::move(graph))
-                                    : finish_blocked_by(graph);
-  res.stats.wait_stage = true;
-  res.stats.wait_edges = n;
-  res.stats.rows_scanned = n;
-  for (const WaitBlockOut& p : parts) res.stats.rows_matched += p.matched;
-  res.stats.salvaged = wait_salvaged_;
-  res.stats.threads = threads;
-
-  if (q.topk.has_value()) {
-    const auto it =
-        std::find(res.columns.begin(), res.columns.end(), q.topk->by);
-    if (it == res.columns.end()) {
-      throw ParseError("top: unknown output column '" + q.topk->by + "'", 0);
-    }
-    const std::size_t ci = static_cast<std::size_t>(it - res.columns.begin());
+    const std::size_t ci = q.topk->column;
     std::stable_sort(res.rows.begin(), res.rows.end(),
                      [ci](const std::vector<Cell>& x,
                           const std::vector<Cell>& y) {

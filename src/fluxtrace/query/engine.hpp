@@ -3,13 +3,15 @@
 // is bit-identical to the sequential one.
 //
 // Pipeline grammar (stages separated by `|`, each at most once, in this
-// order; `select`, `group` and `outliers` are mutually exclusive):
+// order; `select`, `group`, `outliers`, `critical_path` and `blocked_by`
+// are mutually exclusive):
 //
 //   query  := [stage ('|' stage)*]
 //   stage  := 'filter' expr
 //           | 'select' field (',' field)*
 //           | 'group' field (',' field)* ':' agg (',' agg)*
 //           | 'outliers' [('k' '=' number) | ('warmup' '=' integer)]*
+//           | 'critical_path' | 'blocked_by'
 //           | 'top' integer 'by' column
 //           | 'limit' integer
 //   agg    := 'count' | fn '(' field ')'        fn := sum min max p50 p95 p99
@@ -26,8 +28,16 @@
 //     order and emit the anomalies (item, func, elapsed, mean, sigma,
 //     sigmas). Statistics are cross-item per function, which is why this
 //     stage disables chunk pruning entirely.
+//   * critical_path / blocked_by — scan the wait-edge stream instead of
+//     the samples (waitgraph.hpp).
 //   * top N by col — stable sort descending on an output column, keep N.
+//     parse_query resolves the column, so a typo fails before any scan.
 //   * limit N — keep the first N rows.
+//
+// Every answer is finished in one place: run_partial() scans one trace
+// into an ExecPartial, and finish_partials() merges partials and
+// renders them — for run(), for the federated fan-out and for the
+// streaming snapshot alike.
 //
 // Determinism: scans run over fixed 64Ki-row blocks regardless of thread
 // count; per-block partials merge in block order, and every aggregate is
@@ -60,6 +70,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -97,7 +108,9 @@ struct Aggregate {
 
 struct TopK {
   std::uint64_t n = 0;
-  std::string by; ///< output column name, resolved at execution
+  std::string by; ///< output column name
+  /// Index of `by` in Query::columns(); parse_query resolves it.
+  std::size_t column = 0;
 };
 
 struct OutliersSpec {
@@ -121,6 +134,14 @@ struct Query {
   std::optional<TopK> topk;
   std::optional<std::uint64_t> limit;
 
+  [[nodiscard]] bool wait_stage() const { return critical_path || blocked_by; }
+  /// Row mode's output fields: the select list, or all six.
+  [[nodiscard]] std::vector<Field> row_fields() const;
+  /// The output column names, the one definition both parse_query (to
+  /// resolve `top ... by`) and finish_partials use: the select columns
+  /// or all six, the group keys then the aggregates, or the fixed
+  /// columns of outliers / critical_path / blocked_by.
+  [[nodiscard]] std::vector<std::string> columns() const;
   /// Bitmask of every column the query reads or outputs.
   [[nodiscard]] unsigned fields_used() const;
   /// True when any part of the result depends on the dur column.
@@ -128,7 +149,8 @@ struct Query {
 };
 
 /// Parse one pipeline. `symtab` resolves `func == "name"`; pass nullptr
-/// to reject string comparisons. Throws ParseError.
+/// to reject string comparisons. Throws ParseError, including for a
+/// `top ... by` column the stage does not output.
 [[nodiscard]] Query parse_query(std::string_view text,
                                 const SymbolTable* symtab);
 
@@ -144,6 +166,11 @@ struct Cell {
   [[nodiscard]] static Cell of_int(std::int64_t v);
   [[nodiscard]] static Cell of_real(double v);
   [[nodiscard]] static Cell of_text(std::string v);
+  /// A column value as every result renders it: a func id becomes its
+  /// name through `symtab` (unresolved ids, -1, stay numeric), any
+  /// other field an Int.
+  [[nodiscard]] static Cell of_field(Field f, std::int64_t v,
+                                     const SymbolTable& symtab);
 
   /// Canonical printable form (Real uses %.6g).
   [[nodiscard]] std::string str() const;
@@ -173,6 +200,8 @@ struct ScanStats {
   unsigned threads = 1;
   std::size_t wait_edges = 0; ///< wait edges scanned (wait stages only)
   bool wait_stage = false;    ///< this run was critical_path / blocked_by
+
+  friend bool operator==(const ScanStats&, const ScanStats&) = default;
 };
 
 struct QueryResult {
@@ -181,30 +210,39 @@ struct QueryResult {
   ScanStats stats;
 };
 
-/// A mergeable intermediate result: one trace's contribution to a query,
-/// stopped just before the order-sensitive tail (group rendering,
-/// outliers detection, top/limit). Exactly one of the three payloads is
-/// populated, by query mode:
+/// A mergeable intermediate result: one trace's (or one stream's)
+/// contribution to a query, stopped just before the finish (group
+/// rendering, outliers detection, wait-graph rendering, top/limit). One
+/// payload is populated, by query mode:
 ///
 ///   * row mode      — `rows`, already rendered (rendering is per-row
 ///     pure, so per-trace rendering then concatenation equals
-///     concatenation then rendering);
+///     concatenation then rendering). A stream's `outliers` partial
+///     also carries its running detector's anomalies here, already
+///     rendered by outlier_row();
 ///   * group mode    — `groups`, keyed partials in the commutative
 ///     AggPartial algebra (partials.hpp), mergeable in any grouping but
 ///     finished in member order for byte determinism;
 ///   * outliers mode — `buckets`, the {item, func} → dur map the
 ///     detector replays. Sound to merge only when the member traces'
 ///     {item, func} buckets are disjoint (distinct sessions) — the
-///     federated executor uses concatenation for this mode instead.
+///     federated executor uses concatenation for this mode instead;
+///   * critical_path / blocked_by — `wait`, the WaitGraph partial
+///     (partials.hpp), which merges in any order.
 ///
 /// finish_partials() over a single partial is bit-identical to
 /// QueryEngine::run(); over many, it is the federated merge.
 struct ExecPartial {
   std::vector<std::vector<Cell>> rows;
-  std::map<std::vector<std::int64_t>, GroupPartial> groups;
+  GroupMap groups;
   std::map<std::pair<std::int64_t, std::int64_t>, std::int64_t> buckets;
+  WaitGraph wait;
   ScanStats stats;
 };
+
+/// One `outliers` result row: item, func, elapsed, mean, sigma, sigmas.
+[[nodiscard]] std::vector<Cell> outlier_row(const core::Anomaly& a,
+                                            const SymbolTable& symtab);
 
 struct EngineOptions {
   unsigned threads = 0;           ///< scan workers; 0 = hardware, 1 = sequential
@@ -212,10 +250,6 @@ struct EngineOptions {
   bool use_register_ids = false;  ///< columnar BuildOptions passthrough
   bool use_index = true;          ///< consult a FLXI sidecar for pruning
   bool write_index = true;        ///< persist FLXI after a clean full scan
-  /// Route filter evaluation through the per-row scalar interpreter
-  /// instead of the vector kernels (bit-identical by construction; the
-  /// CI portable leg builds with this as the default).
-  bool portable_eval = kPortableEvalDefault;
 };
 
 /// A trace opened for querying. Holds the raw file image (via
@@ -243,17 +277,17 @@ class QueryEngine {
   QueryResult run(std::string_view query_text);
   QueryResult run(const Query& q);
 
-  /// Scan this trace and stop before the order-sensitive tail — the
-  /// federated seam (see ExecPartial). Precondition: `q` is a sample
-  /// scan (not critical_path/blocked_by); run() routes wait stages to
-  /// their own executor.
+  /// Scan this trace and stop before the finish — the federated seam
+  /// (see ExecPartial). Any stage: wait stages scan the wait-edge stream
+  /// and decode no sample chunk.
   ExecPartial run_partial(const Query& q);
 
-  /// Merge per-trace partials (in member order) and finish the query:
-  /// group finish + rendering, outliers detection, top/limit. Static —
-  /// it touches no trace, only the shared symbol table that rendered or
-  /// will render func ids. `run(q)` is exactly
-  /// `finish_partials(q, symtab(), {run_partial(q)})`.
+  /// Merge partials (in partial order) and finish the query: group
+  /// finish + rendering, outliers detection, wait-graph rendering,
+  /// top/limit. Static — it touches no trace, only the shared symbol
+  /// table that rendered or will render func ids. `run(q)` is exactly
+  /// `finish_partials(q, symtab(), {run_partial(q)})`, and
+  /// StreamingQuery::snapshot() finishes through it too.
   [[nodiscard]] static QueryResult finish_partials(
       const Query& q, const SymbolTable& symtab,
       std::vector<ExecPartial> parts);
@@ -290,8 +324,12 @@ class QueryEngine {
   rt::ThreadPool& pool(unsigned n_threads);
   /// pool() when decoding `sample_chunks` chunks can use it, else null.
   rt::ThreadPool* decode_pool(std::size_t sample_chunks);
-  /// Wait-edge stages scan wait_edges_, not the sample columns.
-  QueryResult run_wait(const Query& q);
+  /// The block driver of every scan: runs `run_block` for blocks
+  /// [0, n_blocks) on the pool when more than one of `live_blocks` can
+  /// use it, else inline. Callers merge block outputs in block order,
+  /// so the thread count never shows in a result.
+  void for_each_block(std::size_t n_blocks, std::size_t live_blocks,
+                      const std::function<void(std::size_t)>& run_block);
   void ensure_wait_edges_loaded();
 
   io::TraceReader reader_;

@@ -225,8 +225,8 @@ namespace detail {
 
 /// One fixed-size slice of the columnar store: a span per column, all of
 /// length `rows`. The batch evaluator reads only the columns the
-/// expression references (the portable fallback reads all six), so
-/// producers should fill every slot — ColumnarTrace::block() does.
+/// expression references; producers fill every slot anyway —
+/// ColumnarTrace::block() does.
 struct ColumnBlock {
   std::array<std::span<const std::int64_t>, kNumFields> col{};
   std::size_t rows = 0;
@@ -236,16 +236,6 @@ struct ColumnBlock {
   }
 };
 
-/// Compile-time default for BatchEvaluator's portable mode: the
-/// FLUXTRACE_PORTABLE_EVAL build (CMake -DFLUXTRACE_PORTABLE_EVAL=ON, the
-/// CI fallback leg) routes every evaluation through the per-row scalar
-/// interpreter instead of the vector kernels.
-#if defined(FLUXTRACE_PORTABLE_EVAL)
-inline constexpr bool kPortableEvalDefault = true;
-#else
-inline constexpr bool kPortableEvalDefault = false;
-#endif
-
 /// Evaluates one expression over whole column blocks at a time.
 ///
 /// The vector path walks the AST once per block, computing every node
@@ -253,17 +243,15 @@ inline constexpr bool kPortableEvalDefault = false;
 /// over contiguous int64 the compiler auto-vectorizes. `&&`/`||` are
 /// evaluated eagerly ((a != 0) & (b != 0)); because the language's
 /// semantics are total (nothing faults, nothing has side effects) this
-/// is bit-identical to the scalar interpreter's short-circuit. The
-/// portable path (portable = true, the build default under
-/// FLUXTRACE_PORTABLE_EVAL) gathers each row into FieldVals and calls
-/// Expr::eval — the proven-equivalent scalar fallback the fuzz tests
-/// compare against.
+/// is bit-identical to the scalar interpreter's short-circuit, which
+/// stays the reference: Expr::eval is what the fuzz tests compare every
+/// kernel against.
 ///
 /// Not thread-safe: the scratch is per-evaluator, so give each scan
 /// worker its own instance (construction is one small AST walk).
 class BatchEvaluator {
  public:
-  explicit BatchEvaluator(const Expr& e, bool portable = kPortableEvalDefault);
+  explicit BatchEvaluator(const Expr& e);
 
   /// Evaluate the expression for every row; writes block.rows values.
   void eval(const ColumnBlock& block, std::int64_t* out);
@@ -273,8 +261,6 @@ class BatchEvaluator {
   /// match count.
   [[nodiscard]] std::size_t select(const ColumnBlock& block,
                                    std::uint32_t* out_idx);
-
-  [[nodiscard]] bool portable() const { return portable_; }
 
  private:
   /// A node's value over the current block: either a computed vector
@@ -290,7 +276,6 @@ class BatchEvaluator {
   std::int64_t* slot();
 
   const Expr* expr_;
-  bool portable_;
   std::size_t n_ = 0;         // rows in the block being evaluated
   std::size_t next_slot_ = 0; // scratch cursor, reset per eval
   std::vector<std::vector<std::int64_t>> scratch_;

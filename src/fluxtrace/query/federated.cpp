@@ -1,7 +1,6 @@
 #include "fluxtrace/query/federated.hpp"
 
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "fluxtrace/obs/metrics.hpp"
@@ -51,10 +50,12 @@ void scan_member(const FederatedTrace& member, const SymbolTable& symtab,
   try {
     QueryEngine eng = QueryEngine::open(member.path, symtab, eo);
     ExecPartial part = eng.run_partial(q);
-    if (part.stats.salvaged && part.stats.blocks_total == 0) {
-      // Salvage produced no sample rows. Triage the file properly: a
-      // markers-only recovery still counts as salvaged; a file salvage
-      // recovered *nothing* from is quarantine-grade.
+    const std::size_t recovered =
+        part.stats.wait_stage ? part.stats.wait_edges : part.stats.blocks_total;
+    if (part.stats.salvaged && recovered == 0) {
+      // Salvage produced nothing this query reads. Triage the file
+      // properly: a partial recovery still counts as salvaged; a file
+      // salvage recovered *nothing* from is quarantine-grade.
       const io::TraceTriage triage = io::classify_trace(eng.reader());
       if (triage.health == io::TraceHealth::Unrecoverable) {
         entry.state = TraceDisposition::Quarantined;
@@ -105,17 +106,13 @@ FederatedResult run_federated(const std::vector<FederatedTrace>& members,
   FederatedResult out;
   out.ledger.traces.resize(members.size());
 
-  const bool concat_mode =
-      q.outliers.has_value() || q.critical_path || q.blocked_by;
+  const bool concat_mode = q.outliers.has_value();
 
   if (!concat_mode) {
     // Mergeable stages: fan member scans out on the pool, merge the
     // partials in member index order — the thread count is never
     // observable in the result bytes.
-    const unsigned fanout =
-        opts.fanout_threads != 0
-            ? opts.fanout_threads
-            : std::max(1u, std::thread::hardware_concurrency());
+    const unsigned fanout = rt::resolve_threads(opts.fanout_threads);
     std::vector<std::optional<ExecPartial>> partials(members.size());
     const auto scan_one = [&](std::size_t i) {
       EngineOptions eo = opts.engine;
@@ -138,9 +135,9 @@ FederatedResult run_federated(const std::vector<FederatedTrace>& members,
     out.result = QueryEngine::finish_partials(q, symtab,
                                               std::move(contributed));
   } else {
-    // Order-sensitive stages (outliers, wait graphs): concatenate the
-    // members' records in member order and evaluate as one trace —
-    // identical to the single-trace answer by construction.
+    // outliers, the one order-sensitive stage: concatenate the members'
+    // records in member order and evaluate as one trace — identical to
+    // the single-trace answer by construction.
     io::TraceData all;
     for (std::size_t i = 0; i < members.size(); ++i) {
       TraceLedgerEntry& entry = out.ledger.traces[i];
@@ -172,6 +169,10 @@ FederatedResult run_federated(const std::vector<FederatedTrace>& members,
     }
     QueryEngine eng = QueryEngine::from_data(all, symtab, opts.engine);
     out.result = eng.run(q);
+    // The in-memory concatenation is clean; the ledger knows better.
+    if (out.ledger.count(TraceDisposition::Salvaged) > 0) {
+      out.result.stats.salvaged = true;
+    }
   }
 
   FederatedMetrics::get().members_ok.inc(

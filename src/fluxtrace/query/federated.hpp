@@ -4,18 +4,21 @@
 //
 // Two execution strategies, picked by query shape:
 //
-//   * mergeable stages (filter/select/group/top/limit) — each member is
-//     scanned independently (QueryEngine::run_partial, FLXI pruning and
-//     all) and the per-member ExecPartials merge through the commutative
-//     AggPartial algebra, finished in member order. Bit-identical to
-//     evaluating the concatenated trace when the members are distinct
-//     capture sessions (disjoint item ranges), because then neither the
-//     marker-window attribution nor any {item, func} dur bucket spans a
-//     member boundary.
-//   * outliers / critical_path / blocked_by — the detector replay and
-//     the wait graph are order-sensitive whole-fleet computations, so
-//     the members' records are actually concatenated (in member order)
-//     and evaluated as one trace. Identical by construction.
+//   * mergeable stages (filter/select/group/critical_path/blocked_by/
+//     top/limit) — each member is scanned independently
+//     (QueryEngine::run_partial, FLXI pruning and all) and the
+//     per-member ExecPartials merge through the commutative partial
+//     algebra (AggPartial, WaitGraph), finished in member order by
+//     QueryEngine::finish_partials. Bit-identical to evaluating the
+//     concatenated trace when the members are distinct capture sessions
+//     (disjoint item ranges), because then neither the marker-window
+//     attribution nor any {item, func} dur bucket spans a member
+//     boundary; a wait graph merges in any order, so the wait stages are
+//     identical by construction.
+//   * outliers — the detector replay is an order-sensitive whole-fleet
+//     computation, so the members' records are actually concatenated (in
+//     member order) and evaluated as one trace. Identical by
+//     construction.
 //
 // Failure semantics: a member that cannot be read is *skipped*, one that
 // salvages contributes its recovered subset (*salvaged*), one that
@@ -23,6 +26,15 @@
 // *quarantined*; the rest are *ok*. The ledger reports all four counts
 // per query; only a query whose every member failed is itself an error
 // (and even that returns an empty result + ledger, never a throw).
+//
+// Ledger rule: a member is *salvaged* when what this query read from it
+// came from salvage. A fan-out stage reads only its own records — a
+// group query the sample chunks, a wait stage the wait-edge chunks — so
+// a member with one damaged sample chunk is salvaged for `group` and ok
+// for `critical_path`, with the same rows either way. `outliers` reads
+// every record of every member through the concatenation.
+// result.stats.salvaged is set whenever the ledger holds a salvaged
+// member.
 #pragma once
 
 #include <string>

@@ -78,4 +78,44 @@ void GroupPartial::merge(const std::vector<Aggregate>& spec,
   }
 }
 
+void merge_groups(GroupMap& into, GroupMap&& from,
+                  const std::vector<Aggregate>& spec) {
+  into.merge(from); // splices the nodes whose keys `into` lacks
+  for (auto& [key, acc] : from) into.at(key).merge(spec, std::move(acc));
+}
+
+void WaitGraph::observe(const WaitEdge& e) {
+  const auto item = static_cast<std::int64_t>(e.item);
+  const std::uint64_t d = e.blocked();
+  const WaitKey k{static_cast<std::uint8_t>(e.cause), e.resource,
+                  e.holder_core};
+  ItemWait& it = items[item];
+  it.intervals.emplace_back(e.enter, e.leave);
+  it.by_blocker[k] += d;
+  ++it.edges;
+  BlockerAgg& b = blockers[k];
+  ++b.edges;
+  b.blocked += d;
+  if (d > b.max) b.max = d;
+  ++edges_;
+}
+
+void WaitGraph::merge(WaitGraph&& other) {
+  for (auto& [item, part] : other.items) {
+    ItemWait& it = items[item];
+    it.intervals.insert(it.intervals.end(), part.intervals.begin(),
+                        part.intervals.end());
+    for (const auto& [k, d] : part.by_blocker) it.by_blocker[k] += d;
+    it.edges += part.edges;
+  }
+  for (const auto& [k, agg] : other.blockers) {
+    BlockerAgg& b = blockers[k];
+    b.edges += agg.edges;
+    b.blocked += agg.blocked;
+    if (agg.max > b.max) b.max = agg.max;
+  }
+  edges_ += other.edges_;
+  other = WaitGraph{};
+}
+
 } // namespace fluxtrace::query

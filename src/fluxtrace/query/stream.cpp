@@ -25,13 +25,14 @@ struct StreamMetrics {
 } // namespace
 
 StreamingQuery::StreamingQuery(Query q, SymbolTable symtab, StreamOptions opts)
-    : query_(std::move(q)), symtab_(std::move(symtab)), opts_(opts) {
+    : query_(std::move(q)),
+      symtab_(std::move(symtab)),
+      opts_(opts),
+      row_fields_(query_.row_fields()) {
   if (query_.outliers.has_value()) {
     detector_.emplace(query_.outliers->config);
   }
-  if (query_.filter) {
-    filter_eval_.emplace(*query_.filter, opts_.portable_eval);
-  }
+  if (query_.filter) filter_eval_.emplace(*query_.filter);
 }
 
 void StreamingQuery::fold_matched(std::size_t row, WindowResult& w) {
@@ -54,22 +55,10 @@ void StreamingQuery::fold_matched(std::size_t row, WindowResult& w) {
     }
   } else if (!query_.outliers.has_value()) {
     // Row mode: keep the live tail for snapshot().
-    const std::vector<Field> cols =
-        query_.select.empty()
-            ? std::vector<Field>{Field::Item, Field::Func, Field::Core,
-                                 Field::Ts,  Field::Dur,  Field::Ip}
-            : query_.select;
     std::vector<Cell> row_cells;
-    row_cells.reserve(cols.size());
-    for (const Field f : cols) {
-      const std::int64_t v = at(f);
-      if (f == Field::Func && v >= 0 &&
-          static_cast<std::size_t>(v) < symtab_.size()) {
-        row_cells.push_back(
-            Cell::of_text(std::string(symtab_.name(static_cast<SymbolId>(v)))));
-      } else {
-        row_cells.push_back(Cell::of_int(v));
-      }
+    row_cells.reserve(row_fields_.size());
+    for (const Field f : row_fields_) {
+      row_cells.push_back(Cell::of_field(f, at(f), symtab_));
     }
     row_tail_.push_back(std::move(row_cells));
     if (row_tail_.size() > opts_.row_tail) row_tail_.pop_front();
@@ -232,18 +221,11 @@ std::vector<WindowResult> StreamingQuery::ingest(const io::TraceData& batch) {
 
   // Wait-edge stages fold the batch's edge stream and nothing else: the
   // marker-window machinery attributes samples, which these stages never
-  // read. Filter semantics match QueryEngine::run_wait exactly.
-  if (query_.critical_path || query_.blocked_by) {
+  // read. The filter binds the edge exactly as the batch scan does.
+  if (query_.wait_stage()) {
     for (const WaitEdge& e : batch.wait_edges) {
       ++stats_.wait_edges;
-      if (query_.filter) {
-        FieldVals fv;
-        fv.set(Field::Item, static_cast<std::int64_t>(e.item));
-        fv.set(Field::Core, e.waiter_core);
-        fv.set(Field::Ts, static_cast<std::int64_t>(e.enter));
-        fv.set(Field::Dur, static_cast<std::int64_t>(e.blocked()));
-        if (!query_.filter->test(fv)) continue;
-      }
+      if (query_.filter && !query_.filter->test(wait_edge_fields(e))) continue;
       wait_graph_.observe(e);
       ++stats_.rows_matched;
     }
@@ -297,110 +279,32 @@ std::vector<WindowResult> StreamingQuery::flush() {
 }
 
 QueryResult StreamingQuery::snapshot() const {
-  if (query_.critical_path || query_.blocked_by) {
-    WaitGraph copy = wait_graph_; // finish_critical_path is destructive
-    QueryResult res = query_.critical_path
-                          ? finish_critical_path(std::move(copy))
-                          : finish_blocked_by(copy);
-    res.stats.wait_stage = true;
-    res.stats.wait_edges = stats_.wait_edges;
-    res.stats.rows_scanned = stats_.wait_edges;
-    res.stats.rows_matched = stats_.rows_matched;
-    res.stats.threads = 1;
-    if (query_.topk.has_value()) {
-      const auto it =
-          std::find(res.columns.begin(), res.columns.end(), query_.topk->by);
-      if (it != res.columns.end()) {
-        const std::size_t ci =
-            static_cast<std::size_t>(it - res.columns.begin());
-        std::stable_sort(res.rows.begin(), res.rows.end(),
-                         [ci](const std::vector<Cell>& x,
-                              const std::vector<Cell>& y) {
-                           return y[ci].less(x[ci]);
-                         });
-        if (res.rows.size() > query_.topk->n) res.rows.resize(query_.topk->n);
-      }
-    }
-    if (query_.limit.has_value() && res.rows.size() > *query_.limit) {
-      res.rows.resize(*query_.limit);
-    }
-    return res;
-  }
-
-  QueryResult res;
-  res.stats.rows_scanned = stats_.samples;
-  res.stats.rows_matched = stats_.rows_matched;
-  res.stats.threads = 1;
-
-  const auto func_cell = [&](std::int64_t id) {
-    if (id >= 0 && static_cast<std::size_t>(id) < symtab_.size()) {
-      return Cell::of_text(
-          std::string(symtab_.name(static_cast<SymbolId>(id))));
-    }
-    return Cell::of_int(id);
-  };
-
-  if (!query_.aggs.empty()) {
-    for (const Field f : query_.group_keys) {
-      res.columns.emplace_back(to_string(f));
-    }
-    for (const Aggregate& a : query_.aggs) res.columns.push_back(a.name());
-    for (const auto& [key, acc] : groups_) {
-      std::vector<Cell> row;
-      row.reserve(key.size() + query_.aggs.size());
-      for (std::size_t k = 0; k < key.size(); ++k) {
-        row.push_back(query_.group_keys[k] == Field::Func
-                          ? func_cell(key[k])
-                          : Cell::of_int(key[k]));
-      }
-      for (std::size_t a = 0; a < query_.aggs.size(); ++a) {
-        AggPartial copy = acc.aggs[a]; // finish() is destructive
-        row.push_back(Cell::of_int(copy.finish(query_.aggs[a], acc.count)));
-      }
-      res.rows.push_back(std::move(row));
-    }
-  } else if (query_.outliers.has_value()) {
-    res.columns = {"item", "func", "elapsed", "mean", "sigma", "sigmas"};
-    if (detector_.has_value()) {
-      for (const core::Anomaly& a : detector_->anomalies()) {
-        std::vector<Cell> row;
-        row.push_back(Cell::of_int(static_cast<std::int64_t>(a.item)));
-        row.push_back(func_cell(static_cast<std::int64_t>(a.fn)));
-        row.push_back(Cell::of_int(static_cast<std::int64_t>(a.elapsed)));
-        row.push_back(Cell::of_real(a.mean));
-        row.push_back(Cell::of_real(a.sigma));
-        row.push_back(Cell::of_real(a.deviation()));
-        res.rows.push_back(std::move(row));
-      }
-    }
+  // Copies of the running state: finishing is destructive.
+  ExecPartial part;
+  if (query_.wait_stage()) {
+    part.wait = wait_graph_;
+    part.stats.wait_stage = true;
+    part.stats.wait_edges = stats_.wait_edges;
+    part.stats.rows_scanned = stats_.wait_edges;
   } else {
-    const std::vector<Field> cols =
-        query_.select.empty()
-            ? std::vector<Field>{Field::Item, Field::Func, Field::Core,
-                                 Field::Ts,  Field::Dur,  Field::Ip}
-            : query_.select;
-    for (const Field f : cols) res.columns.emplace_back(to_string(f));
-    for (const auto& row : row_tail_) res.rows.push_back(row);
-  }
-
-  if (query_.topk.has_value()) {
-    const auto it =
-        std::find(res.columns.begin(), res.columns.end(), query_.topk->by);
-    if (it != res.columns.end()) {
-      const std::size_t ci =
-          static_cast<std::size_t>(it - res.columns.begin());
-      std::stable_sort(res.rows.begin(), res.rows.end(),
-                       [ci](const std::vector<Cell>& x,
-                            const std::vector<Cell>& y) {
-                         return y[ci].less(x[ci]);
-                       });
-      if (res.rows.size() > query_.topk->n) res.rows.resize(query_.topk->n);
+    part.stats.rows_scanned = stats_.samples;
+    if (!query_.aggs.empty()) {
+      part.groups = groups_;
+    } else if (detector_.has_value()) {
+      // Streamed outliers are the running detector's anomalies, flagged
+      // as windows sealed — not a replay of buckets.
+      for (const core::Anomaly& a : detector_->anomalies()) {
+        part.rows.push_back(outlier_row(a, symtab_));
+      }
+    } else {
+      part.rows.assign(row_tail_.begin(), row_tail_.end());
     }
   }
-  if (query_.limit.has_value() && res.rows.size() > *query_.limit) {
-    res.rows.resize(*query_.limit);
-  }
-  return res;
+  part.stats.rows_matched = stats_.rows_matched;
+  part.stats.threads = 1;
+  std::vector<ExecPartial> parts;
+  parts.push_back(std::move(part));
+  return QueryEngine::finish_partials(query_, symtab_, std::move(parts));
 }
 
 } // namespace fluxtrace::query

@@ -20,8 +20,9 @@
 //     merge algebra the batch engine uses), and feed the continuously
 //     evaluated `outliers` detector, which raises an alert (and an obs
 //     counter) in the same ingest() call that sealed the window;
-//   * snapshot() finishes a *copy* of the partials into a batch-shaped
-//     QueryResult (same columns, same cell values) at any moment.
+//   * snapshot() finishes a *copy* of the partials through
+//     QueryEngine::finish_partials, the batch engine's own finisher, so
+//     columns, cells and top/limit are the batch ones at any moment.
 //
 // Fed in time order (samples before markers at equal timestamps), the
 // rows and their items are the batch engine's. One limit of sealing on
@@ -99,17 +100,13 @@ struct StreamOptions {
   /// Samples older than the core watermark by more than this slack that
   /// still match no window are counted unattributed and dropped.
   Tsc attribution_slack = 0;
-  /// Evaluate the filter through the per-row scalar interpreter instead
-  /// of the vector kernels (bit-identical either way).
-  bool portable_eval = kPortableEvalDefault;
 };
 
 class StreamingQuery {
  public:
-  /// `q` must not use `select` with `top by` columns that group mode
-  /// would reject in batch; anything parse_query accepts runs. The
-  /// symbol table resolves sample ips to functions exactly as the
-  /// columnar build does.
+  /// Anything parse_query accepts runs (it has resolved `top`'s column
+  /// already). The symbol table resolves sample ips to functions exactly
+  /// as the columnar build does.
   StreamingQuery(Query q, SymbolTable symtab, StreamOptions opts = {});
 
   /// Fold one follower batch in. Returns the windows this batch sealed,
@@ -121,9 +118,11 @@ class StreamingQuery {
   /// unattributed.
   std::vector<WindowResult> flush();
 
-  /// Batch-shaped result from the partials accumulated so far: the same
-  /// columns and cells QueryEngine::run would produce over the rows that
-  /// have flowed through. Non-destructive; callable per poll.
+  /// The partials accumulated so far, finished by
+  /// QueryEngine::finish_partials: the same columns and cells
+  /// QueryEngine::run would produce over the rows that have flowed
+  /// through (outliers: the anomalies flagged as windows sealed).
+  /// Non-destructive; callable per poll.
   [[nodiscard]] QueryResult snapshot() const;
 
   [[nodiscard]] const StreamStats& stats() const { return stats_; }
@@ -153,12 +152,13 @@ class StreamingQuery {
   Query query_;
   SymbolTable symtab_;
   StreamOptions opts_;
+  std::vector<Field> row_fields_; ///< row mode's output, resolved once
 
   core::WindowTracker tracker_;
   std::map<std::uint32_t, CoreState> cores_;
 
   // Running pipeline state (the partials the batch engine would merge).
-  std::map<std::vector<std::int64_t>, GroupPartial> groups_;
+  GroupMap groups_;
   std::deque<std::vector<Cell>> row_tail_;
   std::optional<core::FluctuationDetector> detector_;
   /// Wait-stage pipelines fold edges here instead (ISSUE 8); the window

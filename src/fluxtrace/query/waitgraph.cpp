@@ -36,43 +36,18 @@ Cell cause_cell(std::uint8_t cause) {
 
 } // namespace
 
-void WaitGraph::observe(const WaitEdge& e) {
-  const auto item = static_cast<std::int64_t>(e.item);
-  const std::uint64_t d = e.blocked();
-  const WaitKey k{static_cast<std::uint8_t>(e.cause), e.resource,
-                  e.holder_core};
-  ItemWait& it = items[item];
-  it.intervals.emplace_back(e.enter, e.leave);
-  it.by_blocker[k] += d;
-  ++it.edges;
-  BlockerAgg& b = blockers[k];
-  ++b.edges;
-  b.blocked += d;
-  if (d > b.max) b.max = d;
-  ++edges_;
-}
-
-void WaitGraph::merge(WaitGraph&& other) {
-  for (auto& [item, part] : other.items) {
-    ItemWait& it = items[item];
-    it.intervals.insert(it.intervals.end(), part.intervals.begin(),
-                        part.intervals.end());
-    for (const auto& [k, d] : part.by_blocker) it.by_blocker[k] += d;
-    it.edges += part.edges;
-  }
-  for (const auto& [k, agg] : other.blockers) {
-    BlockerAgg& b = blockers[k];
-    b.edges += agg.edges;
-    b.blocked += agg.blocked;
-    if (agg.max > b.max) b.max = agg.max;
-  }
-  edges_ += other.edges_;
-  other = WaitGraph{};
+FieldVals wait_edge_fields(const WaitEdge& e) {
+  FieldVals fv;
+  fv.set(Field::Item, static_cast<std::int64_t>(e.item));
+  fv.set(Field::Core, e.waiter_core);
+  fv.set(Field::Ts, static_cast<std::int64_t>(e.enter));
+  fv.set(Field::Dur, static_cast<std::int64_t>(e.blocked()));
+  return fv;
 }
 
 QueryResult finish_critical_path(WaitGraph g) {
   QueryResult r;
-  r.columns = {"item", "blocked", "edges", "cause", "resource", "holder"};
+  r.columns.assign(kCriticalPathColumns.begin(), kCriticalPathColumns.end());
 
   struct Row {
     std::int64_t item = 0;
@@ -119,7 +94,7 @@ QueryResult finish_critical_path(WaitGraph g) {
 
 QueryResult finish_blocked_by(const WaitGraph& g) {
   QueryResult r;
-  r.columns = {"cause", "resource", "holder", "edges", "blocked", "max"};
+  r.columns.assign(kBlockedByColumns.begin(), kBlockedByColumns.end());
   r.rows.reserve(g.blockers.size());
   for (const auto& [k, agg] : g.blockers) {
     r.rows.push_back({cause_cell(k.cause), Cell::of_int(k.resource),

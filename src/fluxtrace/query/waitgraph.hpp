@@ -1,7 +1,7 @@
 // Waiting-dependency graphs over wait edges (ISSUE 8). base::WaitEdge
-// records *why* a core made no progress; this module joins those edges
-// into the per-item graph the `critical_path` and `blocked_by` pipeline
-// stages render:
+// records *why* a core made no progress; the WaitGraph partial
+// (partials.hpp) joins those edges into the per-item graph that the
+// `critical_path` and `blocked_by` pipeline stages render here:
 //
 //   * `critical_path` — per item, the total time the item's handoffs
 //     were blocked (the union of its blocking intervals, so overlapping
@@ -12,73 +12,38 @@
 //   * `blocked_by` — the same edges grouped by blocker instead of item:
 //     total/max blocked time per (cause, resource, holder).
 //
-// WaitGraph follows the AggPartial contract (query/partials.hpp): it is
-// a mergeable partial. observe() folds one edge; merge() combines two
-// partials; both are order-insensitive up to the finish functions, which
-// sort internally — so sequential scans, block-parallel scans merged in
-// block order, and StreamingQuery folds all render bit-identical rows.
+// WaitGraph merges in any order and both renderers sort internally, so
+// sequential scans, block-parallel scans, federated member scans and
+// StreamingQuery folds all render bit-identical rows.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <utility>
-#include <vector>
+#include <array>
+#include <string_view>
 
 #include "fluxtrace/base/wait.hpp"
 #include "fluxtrace/query/engine.hpp"
 
 namespace fluxtrace::query {
 
-/// One blocker identity: who was being waited on, and why.
-struct WaitKey {
-  std::uint8_t cause = 0; ///< WaitCause as stored (defines sort order)
-  std::uint32_t resource = 0;
-  std::uint32_t holder = 0;
+/// Output columns of the two wait stages, as both the renderers below
+/// and Query::columns() name them.
+inline constexpr std::array<std::string_view, 6> kCriticalPathColumns = {
+    "item", "blocked", "edges", "cause", "resource", "holder"};
+inline constexpr std::array<std::string_view, 6> kBlockedByColumns = {
+    "cause", "resource", "holder", "edges", "blocked", "max"};
 
-  friend auto operator<=>(const WaitKey&, const WaitKey&) = default;
-};
+/// The filter fields of one wait edge: item = waiter item, core = waiter
+/// core, ts = enter, dur = blocked duration (func and ip stay unbound;
+/// parse_query rejects them in a wait-stage filter).
+[[nodiscard]] FieldVals wait_edge_fields(const WaitEdge& e);
 
-/// Aggregate blocking attributed to one blocker.
-struct BlockerAgg {
-  std::uint64_t edges = 0;
-  std::uint64_t blocked = 0; ///< summed edge durations
-  std::uint64_t max = 0;     ///< longest single episode
-};
-
-/// Per-item partial: the raw blocking intervals (unioned at finish) and
-/// the per-blocker attribution used to name the dominant blocker.
-struct ItemWait {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> intervals;
-  std::map<WaitKey, std::uint64_t> by_blocker;
-  std::uint64_t edges = 0;
-};
-
-/// Mergeable waiting-dependency graph partial. Items are keyed by the
-/// edge's ItemId cast to signed (kNoItem groups under -1: ring-empty and
-/// session episodes are real blocking but not bound to one item).
-class WaitGraph {
- public:
-  void observe(const WaitEdge& e);
-  void merge(WaitGraph&& other);
-
-  [[nodiscard]] std::uint64_t edges() const { return edges_; }
-
-  std::map<std::int64_t, ItemWait> items;
-  std::map<WaitKey, BlockerAgg> blockers;
-
- private:
-  std::uint64_t edges_ = 0;
-};
-
-/// Render the `critical_path` stage: columns
-/// item | blocked | edges | cause | resource | holder, one row per item,
-/// sorted by blocked desc then item asc. Destructive (sorts interval
-/// vectors in place) — pass a copy to keep the partial, like
+/// Render the `critical_path` stage: kCriticalPathColumns, one row per
+/// item, sorted by blocked desc then item asc. Destructive (sorts
+/// interval vectors in place) — pass a copy to keep the partial, like
 /// AggPartial::finish.
 [[nodiscard]] QueryResult finish_critical_path(WaitGraph g);
 
-/// Render the `blocked_by` stage: columns
-/// cause | resource | holder | edges | blocked | max, sorted by
+/// Render the `blocked_by` stage: kBlockedByColumns, sorted by
 /// (cause, resource, holder) asc.
 [[nodiscard]] QueryResult finish_blocked_by(const WaitGraph& g);
 

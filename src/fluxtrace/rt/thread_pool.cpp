@@ -26,10 +26,13 @@ struct PoolMetrics {
 
 } // namespace
 
+unsigned resolve_threads(unsigned requested) {
+  return requested != 0 ? requested
+                        : std::max(1u, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(unsigned n_threads) {
-  if (n_threads == 0) {
-    n_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  n_threads = resolve_threads(n_threads);
   queues_.reserve(n_threads);
   for (unsigned i = 0; i < n_threads; ++i) {
     queues_.push_back(std::make_unique<Deque>());

@@ -26,6 +26,10 @@
 
 namespace fluxtrace::rt {
 
+/// Worker count for a thread option: 0 picks
+/// std::thread::hardware_concurrency() (at least 1).
+[[nodiscard]] unsigned resolve_threads(unsigned requested);
+
 class ThreadPool {
  public:
   /// n_threads == 0 picks std::thread::hardware_concurrency() (at least 1).

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "fluxtrace/io/chunked.hpp"
+#include "fluxtrace/io/v3.hpp"
 #include "fluxtrace/query/render.hpp"
 
 namespace fluxtrace::query {
@@ -29,6 +30,7 @@ struct Fleet {
 
 /// n_members distinct sessions: disjoint item ids and time ranges, like
 /// real per-session captures — the precondition for merge identity.
+/// Every other item also records one wait edge inside its window.
 Fleet make_fleet(const std::string& dir, std::size_t n_members,
                  std::size_t items_per_member, std::uint64_t seed) {
   Fleet f;
@@ -57,6 +59,17 @@ Fleet make_fleet(const std::string& dir, std::size_t n_members,
         d.samples.push_back(s);
       }
       d.markers.push_back({t1, item, core, MarkerKind::Leave});
+      if (i % 2 == 0) {
+        WaitEdge e;
+        e.enter = t0 + 100;
+        e.leave = t0 + 300 + rnd() % 500;
+        e.item = item;
+        e.waiter_core = core;
+        e.holder_core = 1 - core;
+        e.resource = static_cast<std::uint32_t>(i % 3);
+        e.cause = static_cast<WaitCause>(rnd() % kNumWaitCauses);
+        d.wait_edges.push_back(e);
+      }
     }
     char name[32];
     std::snprintf(name, sizeof name, "/member_%02zu.flxt", m);
@@ -67,8 +80,40 @@ Fleet make_fleet(const std::string& dir, std::size_t n_members,
                             d.markers.end());
     f.concat.samples.insert(f.concat.samples.end(), d.samples.begin(),
                             d.samples.end());
+    f.concat.wait_edges.insert(f.concat.wait_edges.end(),
+                               d.wait_edges.begin(), d.wait_edges.end());
   }
   return f;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << is.rdbuf();
+  return std::move(buf).str();
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Flip one payload byte of the first chunk of `path` whose type `pick`
+/// accepts: the header walk still succeeds, that chunk's CRC fails.
+void damage_chunk(const std::string& path, bool (*pick)(std::uint8_t)) {
+  std::string bytes = read_file(path);
+  const std::vector<io::V2ChunkRef> refs = io::index_trace_v2(bytes);
+  ASSERT_GE(refs.size(), 2u);
+  // The frame header's length, read off the first two chunks.
+  const std::size_t header =
+      refs[1].offset - refs[0].offset - refs[0].payload_bytes;
+  for (const io::V2ChunkRef& r : refs) {
+    if (!pick(r.type)) continue;
+    bytes[r.offset + header + r.payload_bytes / 2] ^= '\x01';
+    write_file(path, bytes);
+    return;
+  }
+  FAIL() << "no chunk of the chosen type in " << path;
 }
 
 std::string fresh_dir(const char* tag) {
@@ -99,6 +144,9 @@ const char* const kPipelines[] = {
     "filter dur > 0 | group core: count, p50(dur) | limit 2",
     "select ts, item | limit 7",
     "outliers k=1.0 warmup=3",
+    "critical_path",
+    "filter item >= 0 | critical_path | top 3 by blocked",
+    "filter dur > 0 | blocked_by | limit 2",
 };
 
 TEST(Federated, MatchesConcatenatedEvaluationForEveryPipeline) {
@@ -145,13 +193,9 @@ TEST(Federated, DamagedMemberDegradesIntoLedger) {
   const Fleet f = make_fleet(dir, 3, 4, 7);
   // Corrupt one chunk of member 1: it contributes its salvaged subset.
   {
-    std::ifstream is(f.paths[1], std::ios::binary);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    std::string bytes = std::move(buf).str();
+    std::string bytes = read_file(f.paths[1]);
     bytes[bytes.size() / 2] ^= '\x01';
-    std::ofstream os(f.paths[1], std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    write_file(f.paths[1], bytes);
   }
   const FederatedResult fr = run_federated(
       members_of(f), f.symtab, "group func: count", FederatedOptions{});
@@ -160,6 +204,58 @@ TEST(Federated, DamagedMemberDegradesIntoLedger) {
   EXPECT_EQ(fr.ledger.traces[1].state, TraceDisposition::Salvaged);
   EXPECT_EQ(fr.ledger.summary(),
             "traces: 2 ok, 1 salvaged, 0 quarantined, 0 skipped");
+  EXPECT_TRUE(fr.result.stats.salvaged);
+
+  // outliers evaluates the members' concatenation, which is clean in
+  // memory; the answer must still say it is best-effort.
+  const FederatedResult fo = run_federated(
+      members_of(f), f.symtab, "outliers k=1.0 warmup=3", FederatedOptions{});
+  EXPECT_EQ(fo.ledger.summary(),
+            "traces: 2 ok, 1 salvaged, 0 quarantined, 0 skipped");
+  EXPECT_TRUE(fo.result.stats.salvaged);
+}
+
+// A member is salvaged when what the query read from it came from
+// salvage: a damaged sample chunk costs group queries, not wait stages,
+// and a damaged wait-edge chunk the other way round.
+TEST(Federated, WaitStageLedgerCountsWhatItReads) {
+  EngineOptions eo;
+  eo.threads = 1;
+  for (const bool wait_chunk : {false, true}) {
+    const Fleet f = make_fleet(fresh_dir("ledger"), 3, 4, 11);
+    const std::string clean =
+        csv_of(QueryEngine::from_data(f.concat, f.symtab, eo)
+                   .run("critical_path"));
+    damage_chunk(f.paths[1], wait_chunk ? io::is_wait_chunk_type
+                                        : io::is_sample_chunk_type);
+    const FederatedResult group = run_federated(
+        members_of(f), f.symtab, "group func: count", FederatedOptions{});
+    const FederatedResult cp = run_federated(members_of(f), f.symtab,
+                                             "critical_path",
+                                             FederatedOptions{});
+    const TraceDisposition sample_read =
+        wait_chunk ? TraceDisposition::Ok : TraceDisposition::Salvaged;
+    const TraceDisposition wait_read =
+        wait_chunk ? TraceDisposition::Salvaged : TraceDisposition::Ok;
+    EXPECT_EQ(group.ledger.traces[1].state, sample_read) << wait_chunk;
+    EXPECT_EQ(cp.ledger.traces[1].state, wait_read) << wait_chunk;
+    EXPECT_EQ(cp.result.stats.salvaged, wait_chunk);
+    EXPECT_EQ(cp.ledger.count(TraceDisposition::Ok), wait_chunk ? 2u : 3u);
+    if (!wait_chunk) {
+      EXPECT_EQ(csv_of(cp.result), clean);
+    }
+  }
+
+  // A file salvage recovers nothing from is quarantined by a wait stage
+  // exactly as by a group query.
+  const Fleet f = make_fleet(fresh_dir("ledger"), 2, 4, 13);
+  write_file(f.paths[1], std::string(4096, '\x5a'));
+  for (const char* q : {"group func: count", "critical_path"}) {
+    const FederatedResult fr =
+        run_federated(members_of(f), f.symtab, q, FederatedOptions{});
+    EXPECT_EQ(fr.ledger.traces[0].state, TraceDisposition::Ok) << q;
+    EXPECT_EQ(fr.ledger.traces[1].state, TraceDisposition::Quarantined) << q;
+  }
 }
 
 TEST(Federated, MissingAndQuarantinedMembersAreCountedNotFatal) {

@@ -4,6 +4,7 @@
 // tests in this binary touch the same metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -267,6 +268,53 @@ TEST(ObsIntegration, LoaderLayersAndTriageRecordNestedSpans) {
               io::TraceHealth::Salvaged);
   });
   EXPECT_TRUE(nested(triage, "io.salvage", "io.classify"));
+  std::remove(path.c_str());
+}
+
+// Every answer is finished by finish_partials: the scan (or the wait
+// scan), the merge of partials and the finish each record a span.
+TEST(ObsIntegration, QueryFinisherLayersRecordSpans) {
+  io::TraceData d = tiny_trace();
+  WaitEdge e;
+  e.enter = 120;
+  e.leave = 150;
+  e.item = 1;
+  e.holder_core = 1;
+  d.wait_edges.push_back(e);
+  const std::string path = test::private_dir() + "/obs_finish.flxt3";
+  io::save_trace_v3(path, d, 4);
+  SymbolTable symtab;
+  (void)symtab.add("fn", 0x4000);
+  query::EngineOptions eo;
+  eo.threads = 1;
+  eo.write_index = false;
+
+  const auto count = [](const std::vector<obs::SpanEvent>& spans,
+                        const char* name) {
+    return std::count_if(spans.begin(), spans.end(),
+                         [name](const obs::SpanEvent& s) {
+                           return std::string(s.name) == name;
+                         });
+  };
+  const auto has = [&](const std::vector<obs::SpanEvent>& spans,
+                       const char* name) { return count(spans, name) > 0; };
+  const auto group = spans_of([&] {
+    (void)query::QueryEngine::open(path, symtab, eo).run("group core: count");
+  });
+  for (const char* layer : {"query.scan", "query.merge", "query.finish"}) {
+    EXPECT_TRUE(has(group, layer)) << layer;
+  }
+  // One merge of the block partials, one of the trace partials.
+  EXPECT_EQ(count(group, "query.merge"), 2);
+  const auto wait = spans_of([&] {
+    const query::QueryResult r =
+        query::QueryEngine::open(path, symtab, eo).run("critical_path");
+    EXPECT_EQ(r.rows.size(), 1u);
+  });
+  for (const char* layer : {"query.wait_scan", "query.finish"}) {
+    EXPECT_TRUE(has(wait, layer)) << layer;
+  }
+  EXPECT_FALSE(has(wait, "query.scan")) << "a wait stage scans no samples";
   std::remove(path.c_str());
 }
 

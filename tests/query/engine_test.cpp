@@ -126,6 +126,58 @@ TEST(ParseQuery, RejectsBadPipelines) {
   }
 }
 
+TEST(ParseQuery, TopColumnResolvesAtParseTimeForEveryStage) {
+  // Each stage's `top` column resolves against that stage's own output
+  // columns; a bad one throws at the column token and lists the columns.
+  const struct {
+    const char* text;
+    const char* bad;
+    const char* have;
+  } bad[] = {
+      {"top 1 by nope", "nope", "item func core ts dur ip"},
+      {"select item, ts | top 2 by dur", "dur", "item ts"},
+      {"group func: count | top 1 by nope", "nope", "func count"},
+      {"group item: count | top 2 by sum_ts", "sum_ts", "item count"},
+      {"outliers | top 1 by count", "count",
+       "item func elapsed mean sigma sigmas"},
+      {"critical_path | top 2 by dur", "dur",
+       "item blocked edges cause resource holder"},
+      {"filter dur > 0 | blocked_by | top 1 by item", "item",
+       "cause resource holder edges blocked max"},
+  };
+  for (const auto& c : bad) {
+    const std::string text = c.text;
+    try {
+      (void)parse_query(text, nullptr);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.pos(), text.rfind(c.bad)) << text;
+      EXPECT_NE(std::string(e.what()).find(std::string("(have: ") + c.have +
+                                           ")"),
+                std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
+
+  const struct {
+    const char* text;
+    std::size_t column;
+  } good[] = {
+      {"group func: count, sum(dur), p95(dur) | top 20 by p95_dur", 3},
+      {"outliers k=1.0 warmup=3 | top 2 by sigmas", 5},
+      {"critical_path | top 5 by blocked", 1},
+      {"blocked_by | top 5 by blocked", 4},
+      {"select ts, func | top 3 by func", 1},
+      {"top 4 by ip", 5},
+  };
+  for (const auto& c : good) {
+    const Query q = parse_query(c.text, nullptr);
+    ASSERT_TRUE(q.topk.has_value()) << c.text;
+    EXPECT_EQ(q.topk->column, c.column) << c.text;
+    EXPECT_EQ(q.columns()[q.topk->column], q.topk->by) << c.text;
+  }
+}
+
 TEST(QueryEngineTest, RowModeProjectsInOrder) {
   const Workload w = make_workload(4, 6);
   EngineOptions opts;

@@ -112,6 +112,17 @@ TEST(QueryV3, EveryPipelineBitIdenticalToV2) {
     for (const char* pipeline : kPipelines) {
       EXPECT_EQ(csv_of(e3.run(pipeline)), csv_of(e2.run(pipeline)))
           << pipeline << " @" << threads << " threads";
+      // run() is exactly finish_partials over its own partial, for
+      // every stage, wait stages included.
+      const Query q = parse_query(pipeline, &w.symtab);
+      const QueryResult whole = e3.run(q);
+      std::vector<ExecPartial> parts;
+      parts.push_back(e3.run_partial(q));
+      const QueryResult split =
+          QueryEngine::finish_partials(q, w.symtab, std::move(parts));
+      EXPECT_EQ(split.columns, whole.columns) << pipeline << " @" << threads;
+      EXPECT_EQ(split.rows, whole.rows) << pipeline << " @" << threads;
+      EXPECT_TRUE(split.stats == whole.stats) << pipeline << " @" << threads;
     }
   }
   std::remove(p2.c_str());

@@ -6,12 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include "test_dir.hpp"
 
 #include "fluxtrace/acl/ruleset.hpp"
 #include "fluxtrace/apps/rss_firewall_app.hpp"
 #include "fluxtrace/base/wait.hpp"
+#include "fluxtrace/io/v3.hpp"
 #include "fluxtrace/net/trafficgen.hpp"
 #include "fluxtrace/query/engine.hpp"
 #include "fluxtrace/query/stream.hpp"
@@ -231,6 +237,36 @@ TEST(WaitGraph, EngineCriticalPathMatchesHandComputation) {
 
   // top on an unknown output column throws like the sample path.
   EXPECT_THROW((void)eng.run("critical_path | top 2 by dur"), ParseError);
+}
+
+// A trace whose 8-byte file header was destroyed still yields its wait
+// edges through salvage, exactly as its samples do, and says so.
+TEST(WaitGraph, HeaderDamagedTraceSalvagesItsEdges) {
+  io::TraceData data;
+  data.wait_edges = fuzz_edges(300, 5);
+  std::ostringstream os;
+  io::write_trace_v3(os, data);
+  std::string bytes = std::move(os).str();
+  bytes[0] ^= '\xff';
+  const std::string path = test::private_dir() + "/wait_header.flxt";
+  {
+    std::ofstream f(path, std::ios::binary);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EngineOptions opts;
+  opts.threads = 1;
+  opts.write_index = false;
+  QueryEngine clean = QueryEngine::from_data(data, SymbolTable{}, opts);
+  QueryEngine damaged = QueryEngine::open(path, SymbolTable{}, opts);
+  for (const char* q : {"critical_path", "blocked_by"}) {
+    const QueryResult want = clean.run(q);
+    const QueryResult got = damaged.run(q);
+    EXPECT_EQ(got.rows, want.rows) << q;
+    EXPECT_EQ(got.stats.wait_edges, data.wait_edges.size()) << q;
+    EXPECT_TRUE(got.stats.salvaged) << q;
+    EXPECT_FALSE(want.stats.salvaged) << q;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(WaitGraph, BitIdenticalSequentialParallelAndStreaming) {

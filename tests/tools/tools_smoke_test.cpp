@@ -701,6 +701,37 @@ TEST_F(ToolsFixture, QueryFollowCleanTraceEndsWithExactLedger) {
   EXPECT_NE(out.find("sample_app::f3_transform"), std::string::npos) << out;
 }
 
+TEST_F(ToolsFixture, QueryFollowWaitOnlyPollMatchesBatch) {
+  // A poll that carries nothing but wait edges still feeds a wait stage:
+  // the followed answer is the batch answer.
+  io::TraceData d;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    WaitEdge e;
+    e.enter = 1000 * (i + 1);
+    e.leave = e.enter + 100 + i;
+    e.item = i % 5;
+    e.waiter_core = 1;
+    e.holder_core = 2;
+    e.resource = 7;
+    d.wait_edges.push_back(e);
+  }
+  const std::string path = test::private_dir() + "/tools_follow_wait.flxt";
+  io::save_trace_v3(path, d, 16);
+  const std::string q = " 'critical_path' --csv --no-index";
+  int rc = -1;
+  const std::string batch =
+      run_capture(tool("flxt_query") + " " + path + " " + syms_path + q, &rc);
+  ASSERT_EQ(rc, 0) << batch;
+  ASSERT_NE(batch.find("\n4,972,8,ring-full,7,2\n"), std::string::npos)
+      << batch;
+  const std::string follow = run_capture(
+      tool("flxt_query") + " " + path + " " + syms_path + q + " --follow",
+      &rc);
+  EXPECT_EQ(rc, 0) << follow;
+  EXPECT_NE(follow.find(batch), std::string::npos) << follow;
+  EXPECT_NE(follow.find("wait-edges=40"), std::string::npos) << follow;
+}
+
 TEST_F(ToolsFixture, QueryFollowSurvivesProducerKill9) {
   // The satellite kill-9 leg: flxt_session dies mid-capture via
   // --crash-after (std::_Exit, no close, no eof sentinel). Following the

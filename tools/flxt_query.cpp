@@ -284,7 +284,8 @@ int run_follow(const std::string& trace_path, SymbolTable symtab,
     }
     auto pr = follower.poll(now_ns());
     ++polls;
-    if (!pr.data.markers.empty() || !pr.data.samples.empty()) {
+    if (!pr.data.markers.empty() || !pr.data.samples.empty() ||
+        !pr.data.wait_edges.empty()) {
       print_windows(sq.ingest(pr.data), sq.symtab());
     }
     if (pr.finished) break;
