@@ -4,7 +4,8 @@
 # flxt_query pipelines, and byte-diff each against its golden CSV in
 # tests/golden/. A second pass re-runs one selective query so the FLXI
 # sidecar written by the first pass must actually prune chunks — and
-# must not change a single output byte.
+# must not change a single output byte. The sidecar itself is byte-diffed
+# against tests/golden/query_smoke.flxi.
 #
 # Usage: scripts/query_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -40,6 +41,24 @@ for name in group_func filter_item topk_items select_rows outliers; do
     echo "ok: $name"
   fi
 done
+
+# The first pass wrote the FLXI sidecar; its bytes are pinned (the
+# image CRC it carries is derived from the chunk frames and must equal
+# crc32 over the intact file), and the standalone refresh path must
+# find it fresh.
+if cmp "$GOLDEN/query_smoke.flxi" "$TRACE.flxi"; then
+  echo "ok: sidecar bytes"
+else
+  echo "FAIL: $TRACE.flxi differs from $GOLDEN/query_smoke.flxi" >&2
+  fail=1
+fi
+if "$BUILD/tools/flxt_recover" "$TRACE" "$SYMS" --rebuild-index \
+    | grep -q ': fresh$'; then
+  echo "ok: sidecar fresh"
+else
+  echo "FAIL: flxt_recover --rebuild-index did not find the sidecar fresh" >&2
+  fail=1
+fi
 
 # Wait-graph leg (ISSUE 8): the deterministic head-of-line demo records
 # wait edges into a v3 container; critical_path must name the injected

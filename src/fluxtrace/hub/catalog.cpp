@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -270,6 +271,7 @@ IngestReport Catalog::ingest() {
     // real open failures both count as attempts.
     std::string read_error;
     bool read_ok = false;
+    std::optional<io::TraceReader> reader; // held through the refresh
     io::TraceTriage triage;
     std::uint64_t file_size = 0;
     std::uint32_t file_crc = 0;
@@ -287,11 +289,13 @@ IngestReport Catalog::ingest() {
         continue;
       }
       try {
-        const io::TraceReader reader = io::open_trace(path);
-        const std::string_view image = reader.bytes();
-        file_size = reader.size_bytes();
+        reader = io::open_trace(path);
+        // The one whole-image CRC of ingest: the manifest's, which is how
+        // a re-ingest notices bit rot.
+        const std::string_view image = reader->bytes();
+        file_size = reader->size_bytes();
         file_crc = io::crc32(image.data(), image.size());
-        triage = io::classify_trace(reader);
+        triage = io::classify_trace(*reader);
         read_ok = true;
         break;
       } catch (const io::TraceIoError& e) {
@@ -363,12 +367,13 @@ IngestReport Catalog::ingest() {
         break;
     }
 
-    // Sidecar refresh for anything queries will read. A sidecar failure
-    // degrades (queries scan without pruning); it never fails ingest.
+    // Sidecar refresh for anything queries will read, over the reader
+    // ingest already holds. A sidecar failure degrades (queries scan
+    // without pruning); it never fails ingest.
     if (e.state != TraceState::Quarantined) {
       try {
         const query::SidecarStatus s = query::refresh_sidecar(
-            path, *symtab_, opts_.use_register_ids, opts_.threads);
+            *reader, *symtab_, opts_.use_register_ids, opts_.threads);
         e.sidecar = s == query::SidecarStatus::Fresh ||
                     s == query::SidecarStatus::Rebuilt;
       } catch (const io::TraceIoError&) {
@@ -574,8 +579,9 @@ CompactReport Catalog::compact(std::uint64_t threshold_bytes,
   seg.rows = rows;
   seg.chunks_ok = 0; // strict-written; chunk accounting comes from triage
   try {
-    const query::SidecarStatus s = query::refresh_sidecar(
-        seg_path, *symtab_, opts_.use_register_ids, opts_.threads);
+    const query::SidecarStatus s =
+        query::refresh_sidecar(io::open_trace(seg_path), *symtab_,
+                               opts_.use_register_ids, opts_.threads);
     seg.sidecar = s == query::SidecarStatus::Fresh ||
                   s == query::SidecarStatus::Rebuilt;
   } catch (const io::TraceIoError&) {

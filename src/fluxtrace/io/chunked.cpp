@@ -1,7 +1,5 @@
 #include "fluxtrace/io/chunked.hpp"
 
-#include <array>
-#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -141,60 +139,6 @@ void detail::seal_chunk(std::string& b, std::size_t at, std::uint8_t type,
   put_u32(b, at + 9, static_cast<std::uint32_t>(b.size() - payload_at));
   put_u32(b, at + 13, crc32(b.data() + at, 13));
   put_u32(b, at + 17, crc32(b.data() + payload_at, b.size() - payload_at));
-}
-
-std::uint32_t crc32(const void* data, std::size_t len) {
-  // IEEE 802.3 reflected polynomial, slice-by-16: sixteen table lookups
-  // per 16-byte step instead of one per byte. Same values as the classic
-  // byte-at-a-time loop (table[0] *is* that table), roughly 2x the
-  // slice-by-8 throughput on wide cores because the two 8-byte halves
-  // have no data dependency between their lookups — this runs over every
-  // payload byte of every chunk, so it dominates cold-open time on
-  // multi-hundred-MB traces.
-  static const std::array<std::array<std::uint32_t, 256>, 16> tables = [] {
-    std::array<std::array<std::uint32_t, 256>, 16> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      t[0][i] = c;
-    }
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = t[0][i];
-      for (std::size_t s = 1; s < 16; ++s) {
-        c = t[0][c & 0xffu] ^ (c >> 8);
-        t[s][i] = c;
-      }
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xffffffffu;
-  const auto* p = static_cast<const unsigned char*>(data);
-  while (len >= 16) {
-    std::uint64_t w1, w2;
-    std::memcpy(&w1, p, 8);
-    std::memcpy(&w2, p + 8, 8);
-    if constexpr (std::endian::native == std::endian::big) {
-      w1 = __builtin_bswap64(w1);
-      w2 = __builtin_bswap64(w2);
-    }
-    w1 ^= crc;
-    crc = tables[15][w1 & 0xffu] ^ tables[14][(w1 >> 8) & 0xffu] ^
-          tables[13][(w1 >> 16) & 0xffu] ^ tables[12][(w1 >> 24) & 0xffu] ^
-          tables[11][(w1 >> 32) & 0xffu] ^ tables[10][(w1 >> 40) & 0xffu] ^
-          tables[9][(w1 >> 48) & 0xffu] ^ tables[8][(w1 >> 56) & 0xffu] ^
-          tables[7][w2 & 0xffu] ^ tables[6][(w2 >> 8) & 0xffu] ^
-          tables[5][(w2 >> 16) & 0xffu] ^ tables[4][(w2 >> 24) & 0xffu] ^
-          tables[3][(w2 >> 32) & 0xffu] ^ tables[2][(w2 >> 40) & 0xffu] ^
-          tables[1][(w2 >> 48) & 0xffu] ^ tables[0][(w2 >> 56) & 0xffu];
-    p += 16;
-    len -= 16;
-  }
-  while (len-- > 0) {
-    crc = tables[0][(crc ^ *p++) & 0xffu] ^ (crc >> 8);
-  }
-  return crc ^ 0xffffffffu;
 }
 
 std::string encode_eof_chunk() {
@@ -389,6 +333,37 @@ std::vector<V2ChunkRef> index_trace_v2(std::string_view file) {
     throw TraceIoError("missing v2 end-of-file sentinel (torn write)");
   }
   return out;
+}
+
+std::uint32_t image_crc(std::string_view file,
+                        std::span<const V2ChunkRef> chunks) {
+  const auto untiled = [] {
+    return TraceIoError("chunks do not tile the image");
+  };
+  // The CRC of the frame header at `at`, which must lie inside the file.
+  const auto frame_crc = [&](std::uint64_t at) {
+    if (at + kChunkHeaderBytes > file.size()) throw untiled();
+    return crc32(file.data() + at, kChunkHeaderBytes);
+  };
+  if (file.size() < 8) throw untiled();
+  std::uint32_t crc = crc32(file.data(), 8);
+  std::uint64_t at = 8;
+  for (const V2ChunkRef& r : chunks) {
+    if (r.offset != at) throw untiled();
+    crc = crc32_combine(crc, frame_crc(at), kChunkHeaderBytes);
+    crc = crc32_combine(crc, peek_u32(file, at + 17), r.payload_bytes);
+    at += kChunkHeaderBytes + r.payload_bytes;
+  }
+  if (at + kChunkHeaderBytes != file.size()) throw untiled();
+  return crc32_combine(crc, frame_crc(at), kChunkHeaderBytes); // eof frame
+}
+
+ImageWalk walk_image(std::string_view file) {
+  ImageWalk w;
+  w.chunks = index_trace_v2(file);
+  w.size = file.size();
+  w.crc = image_crc(file, w.chunks);
+  return w;
 }
 
 std::string_view detail::chunk_payload(std::string_view file,

@@ -36,10 +36,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "fluxtrace/io/crc.hpp"
 #include "fluxtrace/io/trace_file.hpp"
 
 namespace fluxtrace::io {
@@ -47,9 +49,6 @@ namespace fluxtrace::io {
 inline constexpr std::uint32_t kTraceVersion2 = 2;
 inline constexpr std::uint32_t kChunkMagic = 0x4b4e4843; // "CHNK"
 inline constexpr std::size_t kDefaultChunkRecords = 1024;
-
-/// CRC-32 (IEEE 802.3, the zlib polynomial) of `len` bytes.
-[[nodiscard]] std::uint32_t crc32(const void* data, std::size_t len);
 
 /// Serialize in the v2 chunked layout, `records_per_chunk` records per
 /// chunk (smaller chunks = finer-grained crash recovery, more header
@@ -125,6 +124,30 @@ struct V2ChunkRef {
 /// work decode_trace_v2_chunk() does on the chunks actually read. Throws
 /// TraceIoError on any structural damage.
 [[nodiscard]] std::vector<V2ChunkRef> index_trace_v2(std::string_view file);
+
+/// The CRC-32 of a whole image that index_trace_v2 accepted, from its
+/// frames alone: combined (crc32_combine) in file order from the CRC of
+/// the 8-byte file header, each chunk's 21-byte frame header and its
+/// *stored* payload CRC, and the eof frame. Reads no payload byte. When
+/// every payload matches its stored CRC — which each decode checks —
+/// the value equals io::crc32 over the image bit for bit. `chunks` must
+/// be index_trace_v2(file); throws TraceIoError when they do not tile
+/// the file.
+[[nodiscard]] std::uint32_t image_crc(std::string_view file,
+                                      std::span<const V2ChunkRef> chunks);
+
+/// One strict walk of a whole chunk-family image, kept by a consumer
+/// that loads from it more than once (the query engine, the sidecar
+/// refresh) so the image is walked once.
+struct ImageWalk {
+  std::vector<V2ChunkRef> chunks; ///< index_trace_v2(image)
+  std::uint64_t size = 0;         ///< bytes in the walked image
+  std::uint32_t crc = 0;          ///< image_crc(image, chunks)
+};
+
+/// index_trace_v2 + image_crc over the frame headers. Throws
+/// TraceIoError on any structural damage.
+[[nodiscard]] ImageWalk walk_image(std::string_view file);
 
 /// Decode one indexed chunk's records into `out` (markers or samples,
 /// appended in order). Validates the payload CRC; throws TraceIoError on

@@ -176,23 +176,30 @@ ColumnarTrace ColumnarTrace::load(std::string_view image,
   return t;
 }
 
+ColumnarTrace ColumnarTrace::load_all(std::string_view image,
+                                      std::span<const io::V2ChunkRef> chunks,
+                                      const SymbolTable& symtab,
+                                      const BuildOptions& opts,
+                                      unsigned n_threads) {
+  const auto n_samples = static_cast<std::size_t>(
+      std::ranges::count_if(chunks, [](const io::V2ChunkRef& r) {
+        return io::is_sample_chunk_type(r.type);
+      }));
+  const unsigned n = rt::resolve_threads(n_threads);
+  std::optional<rt::ThreadPool> pool;
+  if (n > 1 && n_samples > 1) {
+    pool.emplace(static_cast<unsigned>(std::min<std::size_t>(n, n_samples)));
+  }
+  return load(image, chunks, {}, symtab, opts, pool ? &*pool : nullptr);
+}
+
 ColumnarTrace ColumnarTrace::from_reader(const io::TraceReader& reader,
                                          const SymbolTable& symtab,
                                          const BuildOptions& opts,
                                          unsigned n_threads) {
   try {
     const std::string_view image = reader.bytes();
-    const std::vector<io::V2ChunkRef> chunks = io::index_trace_v2(image);
-    const auto n_samples = static_cast<std::size_t>(
-        std::ranges::count_if(chunks, [](const io::V2ChunkRef& r) {
-          return io::is_sample_chunk_type(r.type);
-        }));
-    const unsigned n = rt::resolve_threads(n_threads);
-    std::optional<rt::ThreadPool> pool;
-    if (n > 1 && n_samples > 1) {
-      pool.emplace(static_cast<unsigned>(std::min<std::size_t>(n, n_samples)));
-    }
-    return load(image, chunks, {}, symtab, opts, pool ? &*pool : nullptr);
+    return load_all(image, io::index_trace_v2(image), symtab, opts, n_threads);
   } catch (const io::TraceIoError&) {
     // Damage (or not a chunked image): salvage reproduces the strict
     // reader's diagnostics and recovers what it can.

@@ -86,8 +86,14 @@ class ColumnarTrace {
                             const BuildOptions& opts,
                             rt::ThreadPool* pool);
 
-  /// load() over every chunk of the reader's image, on a pool of
-  /// `n_threads` (0 = hardware) built for this call; a damaged or
+  /// load() of every chunk, on a pool of `n_threads` (0 = hardware)
+  /// built for this call. Throws io::TraceIoError on any damage.
+  static ColumnarTrace load_all(std::string_view image,
+                                std::span<const io::V2ChunkRef> chunks,
+                                const SymbolTable& symtab,
+                                const BuildOptions& opts, unsigned n_threads);
+
+  /// load_all() over a strict walk of the reader's image; a damaged or
   /// non-chunked image falls back to read_or_salvage().
   static ColumnarTrace from_reader(const io::TraceReader& reader,
                                    const SymbolTable& symtab,

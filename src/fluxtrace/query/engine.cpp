@@ -351,8 +351,12 @@ QueryEngine::QueryEngine(io::TraceReader reader, SymbolTable symtab,
                          EngineOptions opts)
     : reader_(std::move(reader)), symtab_(std::move(symtab)), opts_(opts) {
   if (opts_.block_rows == 0) opts_.block_rows = 65536;
-  const std::string_view image = reader_.bytes();
-  trace_crc_ = io::crc32(image.data(), image.size());
+  OBS_SPAN("query.open");
+  try {
+    walk_ = io::walk_image(reader_.bytes());
+  } catch (const io::TraceIoError&) {
+    // Damaged framing or not a chunked image: every load salvages.
+  }
 }
 
 // Out of line so unique_ptr<rt::ThreadPool> works with the forward
@@ -403,16 +407,19 @@ void QueryEngine::ensure_full_loaded() {
   if (full_.has_value()) return;
   OBS_SPAN("query.load_full");
   const BuildOptions bo{opts_.use_register_ids, opts_.block_rows};
-  try {
-    const std::string_view image = reader_.bytes();
-    const std::vector<io::V2ChunkRef> chunks = io::index_trace_v2(image);
-    const auto n_samples = static_cast<std::size_t>(
-        std::ranges::count_if(chunks, [](const io::V2ChunkRef& r) {
-          return io::is_sample_chunk_type(r.type);
-        }));
-    full_ = ColumnarTrace::load(image, chunks, {}, symtab_, bo,
-                                decode_pool(n_samples));
-  } catch (const io::TraceIoError&) {
+  if (walk_.has_value()) {
+    try {
+      const auto n_samples = static_cast<std::size_t>(
+          std::ranges::count_if(walk_->chunks, [](const io::V2ChunkRef& r) {
+            return io::is_sample_chunk_type(r.type);
+          }));
+      full_ = ColumnarTrace::load(reader_.bytes(), walk_->chunks, {}, symtab_,
+                                  bo, decode_pool(n_samples));
+    } catch (const io::TraceIoError&) {
+      // a damaged payload: salvage below
+    }
+  }
+  if (!full_.has_value()) {
     full_ = ColumnarTrace::read_or_salvage(reader_, symtab_, bo);
   }
   full_salvaged_ = full_->salvaged();
@@ -424,9 +431,11 @@ void QueryEngine::try_build_index() {
   // with the standalone refresh path (`flxt_recover --rebuild-index`,
   // the hub's ingest); this wrapper only adds the engine's caching and
   // the opportunistic sidecar write.
-  if (index_.has_value() || full_salvaged_ || !full_.has_value()) return;
-  auto idx =
-      build_flxi(reader_, *full_, symtab_, opts_.use_register_ids, trace_crc_);
+  if (index_.has_value() || full_salvaged_ || !full_.has_value() ||
+      !walk_.has_value()) {
+    return;
+  }
+  auto idx = build_flxi(*walk_, *full_, symtab_, opts_.use_register_ids);
   if (!idx.has_value()) return;
   chunks_total_ = idx->chunks.size();
   index_ = std::move(*idx);
@@ -467,10 +476,9 @@ bool flxi_chunk_may_match(const FlxiChunk& c, const PruneHints& hints,
 } // namespace
 
 std::optional<std::vector<bool>> QueryEngine::keep_mask(
-    const Query& q, const PruneHints& hints, std::string_view image,
-    std::span<const io::V2ChunkRef> chunks) const {
+    const Query& q, const PruneHints& hints, std::string_view image) const {
   std::vector<bool> keep;
-  for (const io::V2ChunkRef& r : chunks) {
+  for (const io::V2ChunkRef& r : walk_->chunks) {
     if (!io::is_sample_chunk_type(r.type)) continue;
     const std::size_t i = keep.size();
     if (index_.has_value()) {
@@ -503,28 +511,20 @@ QueryEngine::Loaded QueryEngine::load_for(const Query& q,
   const PruneHints hints =
       q.filter ? extract_prune_hints(*q.filter) : PruneHints{};
   const bool may_prune = opts_.use_index && !q.outliers.has_value() &&
-                         io::is_chunked_format(reader_.format()) &&
-                         hints.selective() && !full_.has_value();
+                         walk_.has_value() && hints.selective() &&
+                         !full_.has_value();
 
   if (may_prune && !index_.has_value() && !index_load_tried_ &&
       !reader_.path().empty()) {
     index_load_tried_ = true;
-    if (auto idx = load_flxi(flxi_path(reader_.path()))) {
-      // min/max item in the sidecar are *attributed* ids, which differ
-      // entirely between marker-window and register-id attribution, so
-      // a mode mismatch is as stale as a CRC mismatch: full scan, then
-      // rewrite under the current mode.
-      const bool fresh =
-          idx->trace_size == reader_.bytes().size() &&
-          idx->trace_crc == trace_crc_ &&
-          idx->symtab_crc == query::symtab_crc(symtab_) &&
-          (idx->flags & kFlxiFlagRegisterIds) ==
-              (opts_.use_register_ids ? kFlxiFlagRegisterIds : 0u);
-      if (fresh) {
-        chunks_total_ = idx->chunks.size();
-        index_ = std::move(*idx);
-        index_written_ = true; // already on disk, do not rewrite
-      }
+    // A stale sidecar (other bytes, symbols or attribution mode) means a
+    // full scan, then a rewrite under the current pins.
+    if (auto idx = load_flxi(flxi_path(reader_.path()));
+        idx.has_value() &&
+        flxi_fresh(*idx, *walk_, symtab_, opts_.use_register_ids)) {
+      chunks_total_ = idx->chunks.size();
+      index_ = std::move(*idx);
+      index_written_ = true; // already on disk, do not rewrite
     }
   }
   // Sidecar-free pruning: v3 compressed chunks carry an encode-time
@@ -537,24 +537,23 @@ QueryEngine::Loaded QueryEngine::load_for(const Query& q,
   const bool hints_prune = reader_.format() == io::TraceFormat::FlxtV3 &&
                            !q.references_dur() && !hints.ts.full();
   if (may_prune && (index_.has_value() || hints_prune)) {
-    // A pruned load is the one loader over a keep-mask. Damage anywhere
-    // in the walk or the kept chunks drops to the full load below, which
-    // salvages.
+    // A pruned load is the one loader over a keep-mask. Damage in the
+    // kept chunks drops to the full load below, which salvages; damage in
+    // a pruned chunk is never read, so it cannot touch the answer.
     const std::string_view image = reader_.bytes();
     try {
-      const std::vector<io::V2ChunkRef> chunks = io::index_trace_v2(image);
-      if (const auto keep = keep_mask(q, hints, image, chunks)) {
+      if (const auto keep = keep_mask(q, hints, image)) {
         std::size_t kept = 0;
         std::size_t pruned_compressed = 0;
         std::size_t i = 0;
-        for (const io::V2ChunkRef& r : chunks) {
+        for (const io::V2ChunkRef& r : walk_->chunks) {
           if (!io::is_sample_chunk_type(r.type)) continue;
           const bool k = (*keep)[i++];
           kept += k;
           pruned_compressed += !k && io::is_compressed_chunk_type(r.type);
         }
         scratch = ColumnarTrace::load(
-            image, chunks, *keep, symtab_,
+            image, walk_->chunks, *keep, symtab_,
             BuildOptions{opts_.use_register_ids, opts_.block_rows},
             decode_pool(kept));
         out.table = &*scratch;
@@ -738,22 +737,26 @@ void QueryEngine::ensure_wait_edges_loaded() {
   if (wait_loaded_) return;
   wait_loaded_ = true;
   // Wait edges only exist in chunk-family images (v2 raw, v3
-  // compressed). Any other image fails the strict walk and is salvaged,
-  // as the sample loader does: a chunked trace whose file header was
-  // destroyed still yields its edges, and a foreign file yields none
-  // and says so.
+  // compressed). Any other image failed the open's strict walk and is
+  // salvaged, as the sample loader does: a chunked trace whose file
+  // header was destroyed still yields its edges, and a foreign file
+  // yields none and says so.
   const std::string_view bytes = reader_.bytes();
-  try {
-    io::TraceData scratch;
-    for (const io::V2ChunkRef& ref : io::index_trace_v2(bytes)) {
-      if (!io::is_wait_chunk_type(ref.type)) continue;
-      io::decode_trace_v2_chunk(bytes, ref, scratch);
+  if (walk_.has_value()) {
+    try {
+      io::TraceData scratch;
+      for (const io::V2ChunkRef& ref : walk_->chunks) {
+        if (!io::is_wait_chunk_type(ref.type)) continue;
+        io::decode_trace_v2_chunk(bytes, ref, scratch);
+      }
+      wait_edges_ = std::move(scratch.wait_edges);
+      return;
+    } catch (const io::TraceIoError&) {
+      // a damaged payload: salvage below
     }
-    wait_edges_ = std::move(scratch.wait_edges);
-  } catch (const io::TraceIoError&) {
-    wait_edges_ = io::salvage_trace(bytes).data.wait_edges;
-    wait_salvaged_ = true;
   }
+  wait_edges_ = io::salvage_trace(bytes).data.wait_edges;
+  wait_salvaged_ = true;
 }
 
 ExecPartial QueryEngine::run_partial(const Query& q) {

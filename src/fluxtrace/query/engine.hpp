@@ -75,7 +75,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -253,9 +252,11 @@ struct EngineOptions {
 };
 
 /// A trace opened for querying. Holds the raw file image (via
-/// io::TraceReader), the symbol table, and a cache of the fully decoded
-/// columnar store plus its FLXI index, so a REPL session pays the full
-/// decode at most once and prunes afterwards.
+/// io::TraceReader), the symbol table, the image's chunk walk, and a
+/// cache of the fully decoded columnar store plus its FLXI index, so a
+/// REPL session pays the full decode at most once and prunes afterwards.
+/// Opening walks the frame headers only: a one-shot query pays for the
+/// chunks it decodes, not for the bytes of the whole image.
 class QueryEngine {
  public:
   /// Open a trace file (any format TraceReader detects). Throws
@@ -312,13 +313,12 @@ class QueryEngine {
   /// applies, else the cached full load. `scratch` owns the pruned load
   /// when one happens.
   Loaded load_for(const Query& q, std::optional<ColumnarTrace>& scratch);
-  /// The keep-mask of a pruned load of `q` over `chunks`' sample chunks:
-  /// from the validated FLXI sidecar, else from the v3 zone hints (the
-  /// caller checks they may prune `q`). nullopt when the sidecar does not
-  /// fit `chunks`.
+  /// The keep-mask of a pruned load of `q` over the walk's sample
+  /// chunks: from the validated FLXI sidecar, else from the v3 zone hints
+  /// (the caller checks they may prune `q`). nullopt when the sidecar
+  /// does not fit the walk.
   [[nodiscard]] std::optional<std::vector<bool>> keep_mask(
-      const Query& q, const PruneHints& hints, std::string_view image,
-      std::span<const io::V2ChunkRef> chunks) const;
+      const Query& q, const PruneHints& hints, std::string_view image) const;
   void ensure_full_loaded();
   void try_build_index();
   rt::ThreadPool& pool(unsigned n_threads);
@@ -335,6 +335,12 @@ class QueryEngine {
   io::TraceReader reader_;
   SymbolTable symtab_;
   EngineOptions opts_;
+  /// The one strict walk of the image, made at open: every load and the
+  /// index build reuse its chunk list, and its frame-derived CRC
+  /// (io::image_crc) pins the sidecar, so the open reads no payload byte.
+  /// nullopt when the walk failed: then no sidecar counts as fresh or is
+  /// written, and loads salvage.
+  std::optional<io::ImageWalk> walk_;
 
   std::optional<ColumnarTrace> full_; ///< cached full decode
   bool full_salvaged_ = false;
@@ -349,11 +355,6 @@ class QueryEngine {
   /// a pool per query was one of the thread-scaling plateau's causes.
   std::unique_ptr<rt::ThreadPool> pool_;
   unsigned pool_threads_ = 0;
-  // CRC of the trace image, computed once at construction: the bytes
-  // are immutable for the engine's lifetime, and both the sidecar
-  // validate and the sidecar write path pin them — re-hashing a
-  // multi-hundred-MB image on each path doubled cold-open time.
-  std::uint32_t trace_crc_ = 0;
 };
 
 } // namespace fluxtrace::query

@@ -5,7 +5,7 @@
 #include <limits>
 #include <sstream>
 
-#include "fluxtrace/io/chunked.hpp" // io::crc32 + the chunk walk
+#include "fluxtrace/io/chunked.hpp" // io::crc32 + io::ImageWalk
 #include "fluxtrace/io/trace_reader.hpp"
 #include "fluxtrace/io/v3.hpp" // is_sample_chunk_type
 #include "fluxtrace/query/columnar.hpp"
@@ -180,28 +180,16 @@ std::optional<FlxiIndex> load_flxi(const std::string& path) {
   return decode_flxi(bytes);
 }
 
-std::optional<FlxiIndex> build_flxi(const io::TraceReader& reader,
+std::optional<FlxiIndex> build_flxi(const io::ImageWalk& walk,
                                     const ColumnarTrace& table,
                                     const SymbolTable& symtab,
-                                    bool use_register_ids,
-                                    std::uint32_t trace_crc) {
-  // An index is only meaningful over a *clean* chunked image (v2 or v3):
-  // salvaged rows do not line up with the chunk layout, and other formats
-  // have no chunks.
-  if (!io::is_chunked_format(reader.format()) || table.salvaged()) {
-    return std::nullopt;
-  }
-  const std::string_view image = reader.bytes();
-  std::vector<io::V2ChunkRef> refs;
-  try {
-    refs = io::index_trace_v2(image);
-  } catch (const io::TraceIoError&) {
-    return std::nullopt; // strict read succeeded but the walk did not
-  }
+                                    bool use_register_ids) {
+  // Salvaged rows do not line up with the chunk layout.
+  if (table.salvaged()) return std::nullopt;
 
   FlxiIndex idx;
-  idx.trace_size = image.size();
-  idx.trace_crc = trace_crc;
+  idx.trace_size = walk.size;
+  idx.trace_crc = walk.crc;
   idx.symtab_crc = symtab_crc(symtab);
   idx.flags = use_register_ids ? kFlxiFlagRegisterIds : 0u;
 
@@ -214,7 +202,7 @@ std::optional<FlxiIndex> build_flxi(const io::TraceReader& reader,
   std::vector<std::uint32_t> counts(symtab.size(), 0);
   std::vector<std::uint32_t> touched;
   std::size_t row = 0;
-  for (const io::V2ChunkRef& ref : refs) {
+  for (const io::V2ChunkRef& ref : walk.chunks) {
     if (!io::is_sample_chunk_type(ref.type)) continue;
     FlxiChunk c;
     c.offset = ref.offset;
@@ -262,30 +250,47 @@ const char* to_string(SidecarStatus s) {
   return "?";
 }
 
-SidecarStatus refresh_sidecar(const std::string& trace_path,
+bool flxi_fresh(const FlxiIndex& index, const io::ImageWalk& walk,
+                const SymbolTable& symtab, bool use_register_ids) {
+  // min/max item are *attributed* ids, which differ entirely between
+  // marker-window and register-id attribution, so a mode mismatch is as
+  // stale as a CRC mismatch.
+  return index.trace_size == walk.size && index.trace_crc == walk.crc &&
+         index.symtab_crc == symtab_crc(symtab) &&
+         (index.flags & kFlxiFlagRegisterIds) ==
+             (use_register_ids ? kFlxiFlagRegisterIds : 0u);
+}
+
+SidecarStatus refresh_sidecar(const io::TraceReader& reader,
                               const SymbolTable& symtab,
                               bool use_register_ids, unsigned n_threads) {
-  const io::TraceReader reader = io::open_trace(trace_path);
+  if (reader.path().empty()) return SidecarStatus::WriteFailed;
+  const std::string sidecar = flxi_path(reader.path());
   const std::string_view image = reader.bytes();
-  const std::uint32_t crc = io::crc32(image.data(), image.size());
-  const std::uint32_t mode_flag =
-      use_register_ids ? kFlxiFlagRegisterIds : 0u;
-  if (const auto existing = load_flxi(flxi_path(trace_path))) {
-    const bool fresh = existing->trace_size == image.size() &&
-                       existing->trace_crc == crc &&
-                       existing->symtab_crc == symtab_crc(symtab) &&
-                       (existing->flags & kFlxiFlagRegisterIds) == mode_flag;
-    if (fresh) return SidecarStatus::Fresh;
+  std::optional<io::ImageWalk> walk;
+  try {
+    walk = io::walk_image(image);
+  } catch (const io::TraceIoError&) {
+    return SidecarStatus::Unindexable; // not a clean chunked image
   }
-  if (!io::is_chunked_format(reader.format())) {
-    return SidecarStatus::Unindexable;
+  if (const auto existing = load_flxi(sidecar);
+      existing.has_value() &&
+      flxi_fresh(*existing, *walk, symtab, use_register_ids)) {
+    return SidecarStatus::Fresh;
   }
-  const ColumnarTrace table = ColumnarTrace::from_reader(
-      reader, symtab, BuildOptions{use_register_ids, 65536}, n_threads);
-  const auto idx = build_flxi(reader, table, symtab, use_register_ids, crc);
+  std::optional<FlxiIndex> idx;
+  try {
+    idx = build_flxi(*walk,
+                     ColumnarTrace::load_all(
+                         image, walk->chunks, symtab,
+                         BuildOptions{use_register_ids, 65536}, n_threads),
+                     symtab, use_register_ids);
+  } catch (const io::TraceIoError&) {
+    // a damaged payload: no index over a partial decode
+  }
   if (!idx.has_value()) return SidecarStatus::Unindexable;
-  return save_flxi(flxi_path(trace_path), *idx) ? SidecarStatus::Rebuilt
-                                                : SidecarStatus::WriteFailed;
+  return save_flxi(sidecar, *idx) ? SidecarStatus::Rebuilt
+                                  : SidecarStatus::WriteFailed;
 }
 
 } // namespace fluxtrace::query

@@ -16,10 +16,16 @@
 // pruned). min/max item are the *attributed* ids — they depend on the
 // marker stream (or, under register-id attribution, the sampled id
 // register) and, like func ids, on the symbol table, which is why the
-// header pins the trace bytes (size + CRC32), the symbol table
+// header pins the trace bytes (size + image CRC), the symbol table
 // (symtab_crc), and the attribution mode (flags bit 0 = register ids):
 // any mismatch invalidates the sidecar and the engine falls back to a
-// full scan. CRC discipline matches FLXT v2 — a truncated, bit-flipped,
+// full scan. The image CRC is io::image_crc — the whole-image CRC-32
+// derived from the chunk frames, equal to io::crc32 over an intact
+// image — so checking freshness reads no payload byte. A payload
+// damaged after the sidecar was written leaves it fresh: every decode
+// still checks its payload CRC, so a query that reads the damaged chunk
+// salvages, and one that prunes it answers as over the intact file.
+// CRC discipline matches FLXT v2 — a truncated, bit-flipped,
 // or hostile sidecar is *detected*, never trusted (decode_flxi returns
 // nullopt; nothing throws on damage), and claimed element counts are
 // checked against the bytes actually present before anything is
@@ -37,6 +43,7 @@
 
 namespace fluxtrace::io {
 class TraceReader;
+struct ImageWalk;
 }
 
 namespace fluxtrace::query {
@@ -69,7 +76,9 @@ struct FlxiChunk {
 
 struct FlxiIndex {
   std::uint64_t trace_size = 0;
-  std::uint32_t trace_crc = 0;  ///< io::crc32 over the whole trace image
+  /// io::image_crc of the trace — io::crc32 of the whole image when
+  /// every payload is intact, computed from the chunk frames alone
+  std::uint32_t trace_crc = 0;
   std::uint32_t symtab_crc = 0; ///< symtab_crc() of the attributing table
   std::uint32_t flags = 0;      ///< kFlxiFlag* bits (attribution mode)
   std::vector<FlxiChunk> chunks; ///< sample chunks, in file order
@@ -98,18 +107,24 @@ struct FlxiIndex {
 bool save_flxi(const std::string& path, const FlxiIndex& index);
 [[nodiscard]] std::optional<FlxiIndex> load_flxi(const std::string& path);
 
-/// Build an index over a clean FLXT v2 image whose rows are already
-/// decoded into `table` (the engine's cold full scan, the hub's ingest
-/// refresh). `trace_crc` is io::crc32 over the whole image — passed in
-/// because every caller has it already and re-hashing a multi-hundred-MB
-/// image is the expensive part. Returns nullopt when the image is not
-/// indexable: wrong format, a chunk walk that fails strict decode, or a
-/// chunk layout that disagrees with the decoded row count (salvage).
-[[nodiscard]] std::optional<FlxiIndex> build_flxi(const io::TraceReader& reader,
+/// Build an index over a clean chunked image whose rows are already
+/// decoded into `table` (the engine's cold full scan, the sidecar
+/// refresh). `walk` is the strict walk the caller loaded `table` from:
+/// its chunks give the layout and its size and CRC the pins, so nothing
+/// walks or hashes the image again. Returns nullopt when the rows are
+/// salvaged or disagree with the chunk layout.
+[[nodiscard]] std::optional<FlxiIndex> build_flxi(const io::ImageWalk& walk,
                                                   const ColumnarTrace& table,
                                                   const SymbolTable& symtab,
-                                                  bool use_register_ids,
-                                                  std::uint32_t trace_crc);
+                                                  bool use_register_ids);
+
+/// True when `index` pins exactly the walked image (size and image CRC),
+/// `symtab`, and the attribution mode — the one freshness rule the
+/// engine and refresh_sidecar share.
+[[nodiscard]] bool flxi_fresh(const FlxiIndex& index,
+                              const io::ImageWalk& walk,
+                              const SymbolTable& symtab,
+                              bool use_register_ids);
 
 /// Outcome of refresh_sidecar, ordered from best to worst.
 enum class SidecarStatus : std::uint8_t {
@@ -120,14 +135,17 @@ enum class SidecarStatus : std::uint8_t {
 };
 [[nodiscard]] const char* to_string(SidecarStatus s);
 
-/// Validate-or-rebuild the FLXI sidecar of an on-disk trace: the shared
-/// refresh path behind `flxt_recover --rebuild-index` and the hub's
-/// ingest pipeline. A sidecar that already pins the current bytes,
-/// symbol table, and attribution mode is left untouched (Fresh); a
-/// missing/stale/damaged one is rebuilt from a full decode on
-/// `n_threads` workers (0 = hardware concurrency). Throws
-/// io::TraceIoError only when the trace itself cannot be read at all.
-[[nodiscard]] SidecarStatus refresh_sidecar(const std::string& trace_path,
+/// Validate-or-rebuild the FLXI sidecar of an opened trace file: the
+/// shared refresh path behind `flxt_recover --rebuild-index`, the hub's
+/// ingest and compaction. One strict walk of the frame headers checks
+/// freshness; a sidecar that already pins the walked image, symbol
+/// table, and attribution mode is left untouched (Fresh) without a
+/// payload byte read. A missing/stale/damaged one is rebuilt from a full
+/// decode on `n_threads` workers (0 = hardware concurrency) that reuses
+/// the walk. `reader` must come from open_trace(path): the sidecar lives
+/// at flxi_path(reader.path()), and a reader with no path is
+/// WriteFailed. Never reopens or re-hashes the file.
+[[nodiscard]] SidecarStatus refresh_sidecar(const io::TraceReader& reader,
                                             const SymbolTable& symtab,
                                             bool use_register_ids,
                                             unsigned n_threads = 0);

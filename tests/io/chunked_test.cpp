@@ -47,10 +47,13 @@ std::string serialize_v2(const TraceData& d, std::size_t per_chunk) {
 }
 
 TEST(ChunkedTrace, Crc32KnownVectors) {
-  // The zlib/IEEE polynomial check values.
-  EXPECT_EQ(crc32("", 0), 0x00000000u);
-  EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);
-  EXPECT_EQ(crc32("a", 1), 0xe8b7be43u);
+  // The zlib/IEEE polynomial check values, for crc32() and for the
+  // slice-by-16 reference kernel behind it.
+  for (const auto kernel : {&crc32, &detail::crc32_slice16}) {
+    EXPECT_EQ(kernel("", 0), 0x00000000u);
+    EXPECT_EQ(kernel("123456789", 9), 0xcbf43926u);
+    EXPECT_EQ(kernel("a", 1), 0xe8b7be43u);
+  }
 }
 
 TEST(ChunkedTrace, EmptyRoundTrip) {

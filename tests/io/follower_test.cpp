@@ -92,7 +92,9 @@ TraceFollower::PollResult drain(TraceFollower& f, std::uint64_t& now,
 
 TEST(TraceFollower, CleanFileFollowsToEof) {
   const std::string path = temp_path("follower_clean.flxt2");
-  io::TraceData data{make_markers(20), make_samples(37)};
+  io::TraceData data{.markers = make_markers(20),
+                     .samples = make_samples(37),
+                     .wait_edges = {}};
   write_file(path, v2_image(data));
 
   TraceFollowerConfig cfg;
@@ -115,7 +117,9 @@ TEST(TraceFollower, CleanFileFollowsToEof) {
 
 TEST(TraceFollower, TornTailIsNotYetNeverDecoded) {
   const std::string path = temp_path("follower_torn.flxt2");
-  io::TraceData data{make_markers(16), {}};
+  io::TraceData data{.markers = make_markers(16),
+                     .samples = {},
+                     .wait_edges = {}};
   const std::string image = v2_image(data, 8); // 2 marker chunks + eof
   const auto refs = index_trace_v2(image);
   ASSERT_EQ(refs.size(), 2u);
@@ -152,7 +156,9 @@ TEST(TraceFollower, TornTailIsNotYetNeverDecoded) {
 
 TEST(TraceFollower, ProducerDeathSalvagesAndReconciles) {
   const std::string path = temp_path("follower_death.flxt2");
-  io::TraceData data{make_markers(16), {}};
+  io::TraceData data{.markers = make_markers(16),
+                     .samples = {},
+                     .wait_edges = {}};
   const std::string image = v2_image(data, 8);
   const auto refs = index_trace_v2(image);
   ASSERT_EQ(refs.size(), 2u);
@@ -182,7 +188,9 @@ TEST(TraceFollower, ProducerDeathSalvagesAndReconciles) {
 
 TEST(TraceFollower, ProducerAliveProbeDefersDeath) {
   const std::string path = temp_path("follower_probe.flxt2");
-  io::TraceData data{make_markers(8), {}};
+  io::TraceData data{.markers = make_markers(8),
+                     .samples = {},
+                     .wait_edges = {}};
   const std::string image = v2_image(data, 8);
   write_file(path, image.substr(0, image.size() - 10)); // no eof yet
 
@@ -207,7 +215,9 @@ TEST(TraceFollower, ProducerAliveProbeDefersDeath) {
 
 TEST(TraceFollower, TransientReadFaultsRetryWithBackoff) {
   const std::string path = temp_path("follower_transient.flxt2");
-  io::TraceData data{make_markers(24), make_samples(40)};
+  io::TraceData data{.markers = make_markers(24),
+                     .samples = make_samples(40),
+                     .wait_edges = {}};
   write_file(path, v2_image(data));
 
   sim::FaultPlanConfig fcfg;
@@ -244,7 +254,9 @@ TEST(TraceFollower, TransientReadFaultsRetryWithBackoff) {
 
 TEST(TraceFollower, ShortReadsOnlySlowProgress) {
   const std::string path = temp_path("follower_short.flxt2");
-  io::TraceData data{make_markers(24), make_samples(40)};
+  io::TraceData data{.markers = make_markers(24),
+                     .samples = make_samples(40),
+                     .wait_edges = {}};
   write_file(path, v2_image(data));
 
   sim::FaultPlanConfig fcfg;
@@ -274,7 +286,9 @@ TEST(TraceFollower, ShortReadsOnlySlowProgress) {
 
 TEST(TraceFollower, StaleSizeMetadataIsNotYet) {
   const std::string path = temp_path("follower_stale.flxt2");
-  io::TraceData data{make_markers(16), {}};
+  io::TraceData data{.markers = make_markers(16),
+                     .samples = {},
+                     .wait_edges = {}};
   const std::string image = v2_image(data, 8);
   write_file(path, image);
   const auto refs = index_trace_v2(image);
@@ -313,7 +327,9 @@ TEST(TraceFollower, StaleSizeMetadataIsNotYet) {
 
 TEST(TraceFollower, MidFileDamageResyncsAndCounts) {
   const std::string path = temp_path("follower_damage.flxt2");
-  io::TraceData data{make_markers(24), {}};
+  io::TraceData data{.markers = make_markers(24),
+                     .samples = {},
+                     .wait_edges = {}};
   std::string image = v2_image(data, 8); // 3 marker chunks + eof
   const auto refs = index_trace_v2(image);
   ASSERT_EQ(refs.size(), 3u);
@@ -472,7 +488,9 @@ TEST(TraceFollower, WriterAbandonmentSalvagesDurableChunks) {
 
 TEST(TraceFollower, StopMidStreamSettlesLedger) {
   const std::string path = temp_path("follower_stop.flxt2");
-  io::TraceData data{make_markers(16), {}};
+  io::TraceData data{.markers = make_markers(16),
+                     .samples = {},
+                     .wait_edges = {}};
   const std::string image = v2_image(data, 8);
   const auto refs = index_trace_v2(image);
   const std::size_t cut = static_cast<std::size_t>(refs[1].offset) + 10;
@@ -496,7 +514,9 @@ TEST(TraceFollower, StopMidStreamSettlesLedger) {
 
 TEST(TraceFollower, WaitEdgeChunksFlowThroughTheLiveLedger) {
   const std::string path = temp_path("follower_waits.flxt2");
-  io::TraceData data{make_markers(8), make_samples(12)};
+  io::TraceData data{.markers = make_markers(8),
+                     .samples = make_samples(12),
+                     .wait_edges = {}};
   for (std::size_t i = 0; i < 9; ++i) {
     WaitEdge e;
     e.enter = 1000 + i * 50;

@@ -129,6 +129,25 @@ TEST(ResilientWriter, CleanSpoolIsAByteExactV3File) {
   EXPECT_GE(h.primary->syncs, st.chunks_committed);
 }
 
+// A spool's whole-image CRC is derivable from its chunk frames alone —
+// the value the query engine pins FLXI sidecars with.
+TEST(ResilientWriter, SpoolImageCrcFromFramesEqualsCrc32) {
+  for (const std::size_t per_chunk : {1u, 3u, 8u, 50u}) {
+    ResilientWriterConfig cfg;
+    cfg.records_per_chunk = per_chunk;
+    Harness h(cfg);
+    const auto ms = make_markers(20);
+    const auto ss = make_samples(37);
+    h.w->add_markers(ms.data(), ms.size(), 0);
+    h.w->add_samples(ss.data(), ss.size(), 0);
+    h.w->pump(1000);
+    ASSERT_TRUE(h.w->close(2000));
+    const std::string& image = h.primary->bytes;
+    EXPECT_EQ(walk_image(image).crc, crc32(image.data(), image.size()))
+        << per_chunk << " records per chunk";
+  }
+}
+
 TEST(ResilientWriter, RecordsPerChunkIsClampedToTheV3Limit) {
   // A compressed chunk holds at most kMaxChunkRecords records; a larger
   // setting would make add_samples throw mid-capture once that many

@@ -9,6 +9,7 @@
 
 #include "test_dir.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -368,7 +369,10 @@ std::string forged_dict_index_image() {
   return image;
 }
 
-TEST(TraceReader, ClassifyVerdictMatchesSalvage) {
+/// Clean images, then every prefix and single-byte flip of a v3 image
+/// and a forged one: the first kTriageClean inputs are clean.
+constexpr std::size_t kTriageClean = 4;
+std::vector<std::string> triage_inputs() {
   const TraceData d = triage_data();
   const std::string v2 = v2_bytes(d, 16);
   const std::string v3 = v3_bytes(d, 16);
@@ -386,9 +390,8 @@ TEST(TraceReader, ClassifyVerdictMatchesSalvage) {
                             packed.substr(8);
   // Intact chunks after the eof sentinel: salvage keeps reading them.
   const std::string past_eof = v3 + v3.substr(8, v3.size() - 8 - kEof);
-  const std::vector<std::string> clean = {v2, v3, mixed, past_eof};
+  std::vector<std::string> inputs = {v2, v3, mixed, past_eof};
 
-  std::vector<std::string> inputs = clean;
   inputs.emplace_back();
   inputs.push_back(v3.substr(0, 8)); // a bare header
   for (std::size_t n = 0; n < v3.size(); ++n) inputs.push_back(v3.substr(0, n));
@@ -399,9 +402,13 @@ TEST(TraceReader, ClassifyVerdictMatchesSalvage) {
       inputs.push_back(std::move(flipped));
     }
   }
-  const std::string forged = forged_dict_index_image();
-  EXPECT_THROW((void)open_trace_bytes(forged).read(), TraceIoError);
-  inputs.push_back(forged);
+  inputs.push_back(forged_dict_index_image());
+  return inputs;
+}
+
+TEST(TraceReader, ClassifyVerdictMatchesSalvage) {
+  const std::vector<std::string> inputs = triage_inputs();
+  EXPECT_THROW((void)open_trace_bytes(inputs.back()).read(), TraceIoError);
 
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const TraceReader r = open_trace_bytes(inputs[i]);
@@ -421,15 +428,38 @@ TEST(TraceReader, ClassifyVerdictMatchesSalvage) {
     EXPECT_EQ(got.report.header_ok, want.report.header_ok) << "input " << i;
     EXPECT_EQ(got.report.eof_ok, want.report.eof_ok) << "input " << i;
   }
-  for (const std::string& image : clean) {
-    EXPECT_EQ(classify_trace(open_trace_bytes(image)).health,
+  for (std::size_t i = 0; i < kTriageClean; ++i) {
+    EXPECT_EQ(classify_trace(open_trace_bytes(inputs[i])).health,
               TraceHealth::Clean);
   }
   // A clean verdict from the walk keeps no records.
-  const TraceTriage t = classify_trace(open_trace_bytes(v3));
-  EXPECT_EQ(t.rows, d.samples.size());
+  const TraceTriage t = classify_trace(open_trace_bytes(inputs[1]));
+  EXPECT_EQ(t.rows, triage_data().samples.size());
   EXPECT_TRUE(t.report.data.samples.empty());
   EXPECT_TRUE(t.report.data.markers.empty());
+}
+
+// The frame-derived image CRC equals crc32 over the image on every
+// triage input the strict walk accepts and whose payloads all verify.
+TEST(TraceReader, ImageCrcMatchesCrc32OnEveryIntactTriageInput) {
+  std::size_t checked = 0;
+  for (const std::string& image : triage_inputs()) {
+    std::vector<V2ChunkRef> chunks;
+    try {
+      chunks = index_trace_v2(image);
+    } catch (const TraceIoError&) {
+      continue;
+    }
+    const bool intact = std::ranges::all_of(chunks, [&](const V2ChunkRef& r) {
+      return crc32(image.data() + r.offset + 21, r.payload_bytes) ==
+             u32_at(image, static_cast<std::size_t>(r.offset) + 17);
+    });
+    if (!intact) continue;
+    EXPECT_EQ(image_crc(image, chunks), crc32(image.data(), image.size()))
+        << "input of " << image.size() << " bytes";
+    ++checked;
+  }
+  EXPECT_GE(checked, 4u); // v2, v3, mixed and the forged image at least
 }
 
 } // namespace

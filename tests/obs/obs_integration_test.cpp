@@ -258,6 +258,16 @@ TEST(ObsIntegration, LoaderLayersAndTriageRecordNestedSpans) {
   for (const obs::SpanEvent& e : pruned) {
     EXPECT_STRNE(e.name, "query.load_full") << "a pruned load decodes once";
   }
+  // The open (the engine's one frame walk) has a span of its own, once
+  // per engine, outside every load.
+  const auto opens = [](const std::vector<obs::SpanEvent>& spans) {
+    return std::ranges::count_if(spans, [](const obs::SpanEvent& e) {
+      return std::string(e.name) == "query.open";
+    });
+  };
+  EXPECT_EQ(opens(cold), 1);
+  EXPECT_EQ(opens(pruned), 1);
+  EXPECT_FALSE(nested(pruned, "query.open", "query.load"));
 
   std::ostringstream os;
   io::write_trace_v2(os, d, 4);

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <sstream>
 
 #include "fluxtrace/io/chunked.hpp"
 #include "fluxtrace/io/trace_file.hpp"
@@ -465,6 +466,60 @@ TEST_F(FlxiFixture, StaleSidecarAfterTraceRewriteIsRejected) {
   // Reference: a no-index engine over the same file.
   EXPECT_EQ(got.rows,
             run_fresh("filter item == 3 | select ts", false).rows);
+}
+
+/// Flip one payload byte of the `k`-th sample chunk of the file at
+/// `path`, leaving every frame intact.
+void flip_sample_payload(const std::string& path, std::size_t k) {
+  std::string image;
+  {
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    image = std::move(buf).str();
+  }
+  std::vector<io::V2ChunkRef> samples;
+  for (const io::V2ChunkRef& r : io::index_trace_v2(image)) {
+    if (io::is_sample_chunk_type(r.type)) samples.push_back(r);
+  }
+  ASSERT_LT(k, samples.size());
+  const io::V2ChunkRef& r = samples[k];
+  image[r.offset + 21 + r.payload_bytes / 2] ^= 0x10;
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(image.data(), static_cast<std::streamsize>(image.size()));
+}
+
+// The sidecar pins the frames (io::image_crc), not every payload byte:
+// damage in a chunk the query prunes is never read, so the answer is
+// the intact trace's and nothing was salvaged. Every chunk a query does
+// read still has its payload CRC checked.
+TEST_F(FlxiFixture, DamageInAPrunedChunkKeepsTheSidecarAndTheAnswer) {
+  const std::string q = "filter item == 3 | group func: count, sum(dur)";
+  (void)run_fresh(""); // sidecar over the intact trace
+  const QueryResult intact = run_fresh(q);
+  ASSERT_TRUE(intact.stats.index_used);
+
+  flip_sample_payload(path, 7); // items 14 and 15: pruned by item == 3
+  const QueryResult got = run_fresh(q);
+  EXPECT_TRUE(got.stats.index_used);
+  EXPECT_FALSE(got.stats.salvaged);
+  EXPECT_GT(got.stats.chunks_pruned, 0u);
+  EXPECT_EQ(got.columns, intact.columns);
+  EXPECT_EQ(got.rows, intact.rows);
+
+  // A query that reads every chunk meets the damage and salvages.
+  const QueryResult all = run_fresh("group func: count");
+  EXPECT_TRUE(all.stats.salvaged);
+  EXPECT_FALSE(all.stats.index_used);
+}
+
+TEST_F(FlxiFixture, DamageInAKeptChunkSalvages) {
+  const std::string q = "filter item == 3 | group func: count, sum(dur)";
+  (void)run_fresh(""); // sidecar over the intact trace
+  flip_sample_payload(path, 1); // items 2 and 3: kept by item == 3
+  const QueryResult got = run_fresh(q);
+  EXPECT_TRUE(got.stats.salvaged);
+  EXPECT_FALSE(got.stats.index_used);
 }
 
 TEST_F(FlxiFixture, SymtabChangeInvalidatesSidecar) {

@@ -273,8 +273,10 @@ TEST(QueryV3, RefreshSidecarWorksOnV3) {
   const Workload w = make_workload(40, 13);
   const std::string p3 = dir + "/t.flxt3";
   io::save_trace_v3(p3, w.data, 64);
-  EXPECT_EQ(refresh_sidecar(p3, w.symtab, false), SidecarStatus::Rebuilt);
-  EXPECT_EQ(refresh_sidecar(p3, w.symtab, false), SidecarStatus::Fresh);
+  EXPECT_EQ(refresh_sidecar(io::open_trace(p3), w.symtab, false),
+            SidecarStatus::Rebuilt);
+  EXPECT_EQ(refresh_sidecar(io::open_trace(p3), w.symtab, false),
+            SidecarStatus::Fresh);
   std::remove(flxi_path(p3).c_str());
   std::remove(p3.c_str());
 }

@@ -145,10 +145,14 @@ TEST(CacheHierarchy, PrefetchCounterTracksFills) {
   EXPECT_EQ(h.prefetches(), 1u);
 }
 
+// gtest prints a param's raw bytes into the ctest case name, so the struct
+// must have no padding: `pad` keeps the tail bytes zero instead of garbage.
 struct GeometryParam {
   std::uint64_t size;
   std::uint32_t ways;
+  std::uint32_t pad = 0;
 };
+static_assert(sizeof(GeometryParam) == 16);
 
 class CacheGeometryTest : public ::testing::TestWithParam<GeometryParam> {};
 

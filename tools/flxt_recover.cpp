@@ -53,7 +53,7 @@ int main(int argc, char** argv) try {
     }
     query::SidecarStatus status;
     try {
-      status = query::refresh_sidecar(path, symtab, regs);
+      status = query::refresh_sidecar(io::open_trace(path), symtab, regs);
     } catch (const io::TraceIoError& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 1;
